@@ -7,17 +7,15 @@ import (
 	"ipim/internal/isa"
 )
 
-// Full-mask vector movers and fixed-beat DMA copies for the functional
-// execution mode. Each is the corresponding masked or generic accessor
-// specialized to its hot shape: the whole span is bounds-checked once,
-// converted to an array pointer, and moved with constant-index
-// accesses — no per-lane mask tests, no memmove calls. When the span
-// would wrap mod 2^32 or leave the storage, each delegates to (or
-// reproduces the error of) its generic counterpart, so error text and
-// exact-wraparound addressing stay identical to cycle mode. The
-// cycle-mode issue path never calls these — its accessors are
-// byte-for-byte the seed implementations — so the timing model's
-// behavior cannot drift when these change.
+// Full-mask vector movers and fixed-beat DMA copies for the vault's
+// executor, which every execution mode runs. Each is the corresponding
+// masked or generic accessor specialized to its hot shape: the whole
+// span is bounds-checked once, converted to an array pointer, and moved
+// with constant-index accesses — no per-lane mask tests, no memmove
+// calls. When the span would wrap mod 2^32 or leave the storage, each
+// delegates to (or reproduces the error of) its generic counterpart, so
+// error text and exact-wraparound addressing match the generic path.
+// funcfast_test.go pins each against that counterpart.
 
 // vecBytes is one full vector register in bank/PGSM bytes. The
 // constant-index copies below unroll all four lanes by hand; the

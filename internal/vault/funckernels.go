@@ -7,13 +7,12 @@ import (
 	"ipim/internal/isa"
 )
 
-// Specialized functional-mode ALU kernels. The cycle-mode issue path
-// interprets comp instructions through the generic per-lane dispatcher
-// (engine.PE.Comp → isa.EvalLane), which re-decides the op's type and
-// semantics for every lane of every PE. That cost is invisible under
-// the timing model but dominates a pure-functional run, so the
-// functional executor hoists the dispatch: one kernel lookup per
-// instruction, then a tight unrolled loop over the vault's masked PEs.
+// Specialized ALU kernels for the vault's executor (execFunc), which
+// every execution mode runs. The generic per-lane dispatcher
+// (engine.PE.Comp → isa.EvalLane) re-decides the op's type and
+// semantics for every lane of every PE; the kernels hoist that
+// dispatch: one kernel lookup per instruction, then a tight unrolled
+// loop over the vault's masked PEs.
 //
 // Every kernel must be bit-exact with isa.EvalLane — same rounding
 // (float32 expression shapes match isa.EvalF exactly; Go never fuses),
@@ -21,10 +20,11 @@ import (
 // results are normalized to isa.CanonNaN via u32, exactly as EvalLane
 // normalizes its float path — without that, the architectural bits of
 // NaN+NaN would depend on which operand the compiler left in the x86
-// destination register, which varies per inlining context. The
-// differential harness (funcmode_test.go, FuzzFunctionalVsTiming) pins
-// this against the cycle-mode interpreter; any divergence is a test
-// failure, not a silent wrong pixel.
+// destination register, which varies per inlining context. Because
+// every mode shares these kernels, a differential between modes cannot
+// see a kernel bug; TestCompKernelsBitExact, TestExecFuncCompVsPEComp
+// and FuzzExecFuncVsEvalLane (execref_test.go) pin them against the
+// per-PE reference interpreters instead.
 
 // compKernel applies one comp op to all four lanes of d (in place, d as
 // accumulator for mac ops). Kernels assume a full vector mask; partial
@@ -316,8 +316,7 @@ var _ [1]struct{} = [5 - isa.VecLanes]struct{}{}
 // that dominate compiled image pipelines additionally get fused loops —
 // op dispatched once per instruction, lanes unrolled, no per-PE kernel
 // call — when every PE in range is selected. Partial vector masks and
-// unknown ops fall back to the cycle path's generic interpreter
-// (bitwise identical by definition).
+// unknown ops fall back to the generic per-PE interpreter.
 func (v *Vault) execFuncComp(in *isa.Instruction, mask uint64, lo, hi int) {
 	if in.VecMask != isa.VecMaskAll {
 		for i := lo; i < hi; i++ {

@@ -4,9 +4,12 @@ package vault
 // timing memoizer. The root-package differential matrix
 // (funcmode_test.go) pins whole-machine equivalence; these tests pin the
 // pieces directly: every specialized comp kernel against isa.EvalLane on
-// adversarial bit patterns, each execFunc dispatch path against the
-// cycle-mode interpreter on a single vault, the functional budget
-// reinterpretation, and the memoizer's hit/flush/bypass machinery.
+// adversarial bit patterns, each execFunc dispatch path run under the
+// cycle-mode issue loop and under functional mode on a single vault
+// (both share the executor, so these pin control flow, pc handling and
+// error wrapping; execref_test.go pins the kernels themselves), the
+// functional budget reinterpretation, and the memoizer's
+// hit/flush/bypass machinery.
 
 import (
 	"bytes"
@@ -43,9 +46,9 @@ var kernelPatterns = []uint32{
 	0x501502F9, // 1e10
 }
 
-// TestCompKernelsBitExact proves every specialized functional-mode comp
-// kernel computes exactly what the cycle-mode reference (isa.EvalLane)
-// computes, lane for lane, across the adversarial pattern matrix.
+// TestCompKernelsBitExact proves every specialized comp kernel computes
+// exactly what the reference lane evaluator (isa.EvalLane) computes,
+// lane for lane, across the adversarial pattern matrix.
 func TestCompKernelsBitExact(t *testing.T) {
 	n := len(kernelPatterns)
 	for op := isa.ALUOp(1); op.ValidForComp(); op++ {

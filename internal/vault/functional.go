@@ -8,15 +8,16 @@ import (
 	"ipim/internal/sim"
 )
 
-// Functional execution: the instruction-stream interpreter with every
-// timing concern removed. execFunc applies exactly the architectural
-// mutations the cycle-mode issue path applies — register files,
+// Functional execution: the vault's one architectural executor. execFunc
+// applies every instruction's architectural mutations — register files,
 // scratchpads, bank bytes, control flow, and the fault-injection
 // decision stream — but never touches the clock, the issued queue, the
-// DRAM controllers' schedules, the TSV timeline or the NoC. Two callers
-// share it: FunctionalMode runs (runPhaseFunctional) and the timing
-// memoizer's cache-hit replay (memo.go), which re-executes a block
-// functionally and applies recorded timing deltas.
+// DRAM controllers' schedules, the TSV timeline or the NoC. Three
+// callers share it: the cycle-mode issue path (vault.go), which layers
+// hazards and completion timing on top; FunctionalMode runs
+// (runPhaseFunctional); and the timing memoizer's cache-hit replay
+// (memo.go), which re-executes a block functionally and applies
+// recorded timing deltas.
 
 // runPhaseFunctional is RunPhase's FunctionalMode loop: execute to the
 // next sync or end of program with no cycle accounting. Stats carry
@@ -85,12 +86,11 @@ func (v *Vault) checkRunControlFunc() error {
 }
 
 // execFunc executes one non-sync instruction functionally, managing pc
-// itself (sequential fall-through or taken jump). It mirrors the
-// mutation set of issue() case for case — same transfer calls in the
-// same order, same error returns, same fault-injection rolls against
-// the same vault-owned counters — so functional outputs are
-// bit-identical to cycle mode under any fault plan. It deliberately
-// touches no stats: runPhaseFunctional counts issues itself, and the
+// itself (sequential fall-through or taken jump). Every execution mode
+// applies data effects through it, so outputs, error text and the
+// fault-injection rolls against the vault-owned counters are
+// mode-independent by construction. It deliberately touches no stats:
+// issue() and runPhaseFunctional count issues themselves, and the
 // memoizer's replay path gets every counter from the recorded delta.
 func (v *Vault) execFunc(in *isa.Instruction) error {
 	mask := in.SimbMask
@@ -114,7 +114,7 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			pg, pe := v.peByIndex(i)
+			pg, pe := v.peList[i].pg, v.peList[i].pe
 			addr := pe.EffectiveAddr(in.Addr, in.Indirect)
 			var err error
 			switch {
@@ -161,7 +161,7 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			_, pe := v.peByIndex(i)
+			pe := v.peFlat[i]
 			addr := pe.EffectiveAddr(in.Addr, in.Indirect)
 			if int(addr)+4*highLane(in.VecMask)+4 > len(v.VSM) {
 				return fmt.Errorf("VSM access at %#x beyond %d bytes", addr, len(v.VSM))
@@ -191,8 +191,8 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 			return fmt.Errorf("req response at VSM %#x beyond %d bytes", in.Addr2, len(v.VSM))
 		}
 		copy(v.VSM[in.Addr2:], data)
-		// No RemoteRoundTrip: the NoC is a timing model, and vsmReady
-		// only delays a later rd_vsm — the bytes are already placed.
+		// The bytes are placed at once; the NoC round trip and the
+		// vsmReady delay of a later rd_vsm are timing, charged by issue().
 
 	case isa.OpCalcCRF:
 		a := v.CRF[in.Src1]
@@ -226,10 +226,11 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 	return nil
 }
 
-// execFuncBank is the functional half of issueBank: the same transfers
-// with the same error returns, plus the same per-column fault rolls in
-// the same order (faultN advances identically, so a fault plan corrupts
-// the same bits in both modes). No DRAM request is ever enqueued.
+// execFuncBank applies a bank instruction's data transfer for the masked
+// PEs in [lo, hi), plus one fault roll per PE per 128-bit column read,
+// in PE-then-column order (faultN advances identically in every mode,
+// so a fault plan corrupts the same bits). No DRAM request is enqueued
+// here; issueBank schedules those afterwards.
 func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error {
 	// Lane-span offsets and the fault-plan test depend only on the
 	// instruction, not the PE: hoist them out of the loop.
@@ -238,9 +239,9 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 	faulty := v.fp != nil && v.fp.DRAMBitFlipRate > 0 && !in.Op.IsBankStore()
 	if !faulty {
 		// Fault-free runs dispatch the op once and use the full-mask
-		// movers where the vector mask allows; the loop below stays the
-		// reference for fault plans, where the per-column rolls must
-		// land in cycle-mode order.
+		// movers where the vector mask allows; the loop below serves
+		// partial vector masks and fault plans, whose per-column rolls
+		// must land in PE-then-column order.
 		switch {
 		case in.Op == isa.OpLdRF && in.VecMask == isa.VecMaskAll:
 			for i := lo; i < hi; i++ {
@@ -296,7 +297,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		pg, pe := v.peByIndex(i)
+		pg, pe := v.peList[i].pg, v.peList[i].pe
 		bankAddr := pe.EffectiveAddr(in.Addr, in.Indirect)
 		spanLo := bankAddr + lo4
 		spanHi := bankAddr + hi4

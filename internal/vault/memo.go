@@ -28,7 +28,8 @@ import (
 //
 // Miss path: the ordinary cycle-mode issue loop runs unchanged (so
 // memoized runs are bit-identical to stepwise by construction on every
-// miss), while a recorder notes two things per instruction: opcodes
+// miss; its data effects go through the same execFunc the hit path
+// replays), while a recorder notes two things per instruction: opcodes
 // that disqualify the block from caching, and which PGs see bank
 // traffic. Disqualifiers are req (it touches the vault's NoC port
 // shard and vsmReady, neither of which is in the key) and mov_arf (it
@@ -339,7 +340,8 @@ func (mm *timingMemo) note(v *Vault, in *isa.Instruction) {
 		mm.disqualified = true
 	case isa.OpLdRF, isa.OpStRF, isa.OpLdPGSM, isa.OpStPGSM:
 		mask := in.SimbMask
-		for i := 0; i < v.Cfg.PEsPerVault(); i++ {
+		nPE := v.Cfg.PEsPerVault()
+		for i := 0; i < nPE; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				mm.recTouched[i/v.Cfg.PEsPerPG] = true
 			}

@@ -7,15 +7,18 @@
 // its simb_mask has finished (lock-step execution).
 //
 // Functional execution happens at issue time in program order, which is
-// exact for an in-order core; completion *times* are computed from the
-// Table III latencies, the per-PG DRAM controllers, TSV serialization
-// and the NoC, and drive all stalls (hazards, queue capacity, DRAM
-// request queue back-pressure, branches, barriers).
+// exact for an in-order core, through the one architectural executor
+// every mode shares (execFunc, functional.go). Timing is a layer on
+// top: completion *times* are computed from the Table III latencies,
+// the per-PG DRAM controllers, TSV serialization and the NoC, and drive
+// all stalls (hazards, queue capacity, DRAM request queue
+// back-pressure, branches, barriers).
 package vault
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ipim/internal/dram"
 	"ipim/internal/engine"
@@ -53,7 +56,6 @@ const NoEvent int64 = math.MaxInt64
 // is live exactly while it sits in the inflight queue, so reuse cannot
 // alias two in-flight instructions.
 type entry struct {
-	idx       int
 	defs      []isa.RegRef
 	uses      []isa.RegRef
 	completes int64
@@ -78,8 +80,7 @@ type instrDeps struct {
 }
 
 // peSlot pairs a PE with its process group, precomputed per vault-wide
-// PE index so the per-instruction broadcast loop avoids the div/mod of
-// peByIndex.
+// PE index so the per-instruction broadcast loops avoid a div/mod.
 type peSlot struct {
 	pg *engine.PG
 	pe *engine.PE
@@ -116,7 +117,7 @@ type Vault struct {
 
 	// peList[i] is the (PG, PE) pair at vault-wide PE index i; peFlat
 	// is the same order with only the PE pointers, packed densely for
-	// the functional executor's hot loops.
+	// the executor's hot loops.
 	peList []peSlot
 	peFlat []*engine.PE
 
@@ -311,7 +312,7 @@ func (v *Vault) freeEntry(e *entry) {
 	e.reqs = e.reqs[:0]
 	e.pgs = e.pgs[:0]
 	e.defs, e.uses = nil, nil
-	e.idx, e.completes, e.extra, e.usesTSV = 0, 0, 0, false
+	e.completes, e.extra, e.usesTSV = 0, 0, false
 	v.entryPool = append(v.entryPool, e)
 }
 
@@ -388,13 +389,6 @@ func (v *Vault) SetFaultPlan(p *fault.Plan) {
 		}
 		v.bankSites[pgID] = sites
 	}
-}
-
-// peByIndex returns the PE with vault-wide index i (pg*PEsPerPG + pe)
-// and its process group, via the precomputed lookup table.
-func (v *Vault) peByIndex(i int) (*engine.PG, *engine.PE) {
-	s := v.peList[i]
-	return s.pg, s.pe
 }
 
 // Load installs a finalized program and resets core state. Timing state
@@ -711,8 +705,10 @@ func conflictsWith(e *entry, defs, uses []isa.RegRef) bool {
 	return false
 }
 
-// issue executes one instruction: hazard checks, functional execution,
-// completion scheduling, pc update. One issue consumes one cycle.
+// issue executes one instruction: hazard and queue-capacity stalls, the
+// architectural effect through the functional executor (execFunc, the
+// same code FunctionalMode and memo replay run), then a timing-only
+// pass that schedules completion. One issue consumes one cycle.
 func (v *Vault) issue(in *isa.Instruction) error {
 	issuePC := v.pc
 	issueStart := v.now
@@ -749,88 +745,59 @@ func (v *Vault) issue(in *isa.Instruction) error {
 	defs, uses := d.defs, d.uses
 	// Issue-time dependency check against the Issued Inst Queue: stall
 	// with pipeline bubbles until the conflicting instructions retire.
-	for {
-		wait := int64(-1)
-		for _, e := range v.inflight {
-			if conflictsWith(e, defs, uses) {
-				if c := v.resolve(e); c > wait {
-					wait = c
-				}
+	wait := int64(-1)
+	for _, e := range v.inflight {
+		if conflictsWith(e, defs, uses) {
+			if c := v.resolve(e); c > wait {
+				wait = c
 			}
 		}
-		if wait < 0 {
-			break
-		}
+	}
+	if wait >= 0 {
 		v.advanceTo(wait, sim.StallData)
 		v.retire()
-		break
 	}
 
+	v.Stats.Issued++
+	v.Stats.InstByCategory[isa.CategoryOf(in.Op)]++
+
+	// A taken jump to pc+1 is indistinguishable from a fall-through by
+	// the pc alone, so the branch outcome is read before the jump runs.
+	taken := in.Op == isa.OpJump || in.Op == isa.OpCJump && v.CRF[in.Cond] != 0
+	if err := v.execFunc(in); err != nil {
+		return err
+	}
+
+	// Timing pass. Data ops never write the AddrRF, so effective
+	// addresses read after the architectural effect are exact.
 	mask := in.SimbMask
 	nPE := v.Cfg.PEsPerVault()
-	cat := isa.CategoryOf(in.Op)
-	v.Stats.Issued++
-	v.Stats.InstByCategory[cat]++
-
+	// Masked PEs within the vault (1<<64 wraps to 0, so a 64-PE vault
+	// still yields the all-ones range mask).
+	n := int64(bits.OnesCount64(mask & (uint64(1)<<uint(nPE) - 1)))
 	completes := v.now + 1 // default single-cycle core-side op
 	var pend *entry
 
 	switch in.Op {
 	case isa.OpComp:
-		lat := int64(v.Cfg.LatencyOf(classOf(in.ALU)))
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			_, pe := v.peByIndex(i)
-			pe.Comp(in)
-			v.Stats.SIMDOps++
-			v.Stats.DataRFAcc += 3
-			if in.ALU.ReadsDst() {
-				v.Stats.DataRFAcc++
-			}
+		v.Stats.SIMDOps += n
+		v.Stats.DataRFAcc += 3 * n
+		if in.ALU.ReadsDst() {
+			v.Stats.DataRFAcc += n
 		}
-		completes = v.now + lat
+		completes = v.now + int64(v.Cfg.LatencyOf(classOf(in.ALU)))
 
 	case isa.OpCalcARF:
-		lat := int64(v.Cfg.LatencyOf(classOf(in.ALU)))
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			_, pe := v.peByIndex(i)
-			pe.CalcARF(in)
-			v.Stats.IntALUOps++
-			v.Stats.AddrRFAcc += 3
-		}
-		completes = v.now + lat
+		v.Stats.IntALUOps += n
+		v.Stats.AddrRFAcc += 3 * n
+		completes = v.now + int64(v.Cfg.LatencyOf(classOf(in.ALU)))
 
 	case isa.OpLdRF, isa.OpStRF, isa.OpLdPGSM, isa.OpStPGSM:
-		var err error
-		pend, err = v.issueBank(in, mask, nPE)
-		if err != nil {
-			return err
-		}
+		pend = v.issueBank(in, mask, nPE, n)
 
 	case isa.OpRdPGSM, isa.OpWrPGSM:
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			pg, pe := v.peByIndex(i)
-			addr := pe.EffectiveAddr(in.Addr, in.Indirect)
-			var err error
-			if in.Op == isa.OpRdPGSM {
-				err = pg.VectorFromPGSM(pe, addr, in.Dst, in.VecMask)
-			} else {
-				err = pg.VectorToPGSM(pe, addr, in.Dst, in.VecMask)
-			}
-			if err != nil {
-				return err
-			}
-			v.Stats.PGSMAcc++
-			v.Stats.DataRFAcc++
-		}
+		v.Stats.PGSMAcc += n
+		v.Stats.DataRFAcc += n
 		completes = v.now + int64(v.Cfg.TPGSM+v.Cfg.TDataRF)
 
 	case isa.OpRdVSM, isa.OpWrVSM:
@@ -839,93 +806,37 @@ func (v *Vault) issue(in *isa.Instruction) error {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			_, pe := v.peByIndex(i)
-			addr := pe.EffectiveAddr(in.Addr, in.Indirect)
-			if int(addr)+4*highLane(in.VecMask)+4 > len(v.VSM) {
-				return fmt.Errorf("VSM access at %#x beyond %d bytes", addr, len(v.VSM))
-			}
 			start := v.now + 1
 			// A read of data a req is fetching waits for its arrival.
 			if in.Op == isa.OpRdVSM {
+				addr := v.peFlat[i].EffectiveAddr(in.Addr, in.Indirect)
 				if r, ok := v.vsmReady[addr]; ok && r > start {
 					start = r
 				}
 			}
-			beat := start
-			if beat < v.tsvFree {
-				beat = v.tsvFree
-			}
+			beat := max(start, v.tsvFree)
 			v.tsvFree = beat + int64(v.Cfg.TTSV)
-			end := beat + int64(v.Cfg.TTSV+v.Cfg.TVSM+v.Cfg.TDataRF)
-			if end > last {
-				last = end
-			}
-			if in.Op == isa.OpRdVSM {
-				copyVSMToVector(v.VSM, addr, pe, in.Dst, in.VecMask)
-			} else {
-				copyVectorToVSM(pe, in.Dst, v.VSM, addr, in.VecMask)
-			}
-			v.Stats.VSMAcc++
-			v.Stats.TSVBeats++
-			v.Stats.DataRFAcc++
+			last = max(last, beat+int64(v.Cfg.TTSV+v.Cfg.TVSM+v.Cfg.TDataRF))
 		}
+		v.Stats.VSMAcc += n
+		v.Stats.TSVBeats += n
+		v.Stats.DataRFAcc += n
 		completes = last
 
-	case isa.OpMovDRF:
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			_, pe := v.peByIndex(i)
-			pe.MovToDRF(in.Dst, in.Src1, in.Lane)
-			v.Stats.AddrRFAcc++
-			v.Stats.DataRFAcc++
-		}
-		completes = v.now + int64(v.Cfg.TAddrRF+v.Cfg.TDataRF)
-
-	case isa.OpMovARF:
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			_, pe := v.peByIndex(i)
-			pe.MovToARF(in.Dst, in.Src1, in.Lane)
-			v.Stats.AddrRFAcc++
-			v.Stats.DataRFAcc++
-		}
+	case isa.OpMovDRF, isa.OpMovARF:
+		v.Stats.AddrRFAcc += n
+		v.Stats.DataRFAcc += n
 		completes = v.now + int64(v.Cfg.TAddrRF+v.Cfg.TDataRF)
 
 	case isa.OpReset:
-		for i := 0; i < nPE; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			_, pe := v.peByIndex(i)
-			pe.Reset(in.Dst)
-			v.Stats.DataRFAcc++
-		}
+		v.Stats.DataRFAcc += n
 		completes = v.now + int64(v.Cfg.TDataRF)
 
 	case isa.OpSetiVSM:
-		if int(in.Addr)+4 > len(v.VSM) {
-			return fmt.Errorf("seti_vsm at %#x beyond %d bytes", in.Addr, len(v.VSM))
-		}
-		putU32(v.VSM, in.Addr, uint32(int32(in.Imm)))
 		v.Stats.VSMAcc++
 		completes = v.now + int64(v.Cfg.TVSM)
 
 	case isa.OpReq:
-		if v.remote == nil {
-			return fmt.Errorf("req issued but no remote fabric attached")
-		}
-		data, err := v.remote.RemoteRead(in.DstChip, in.DstVault, in.DstPG, in.DstPE, in.Addr)
-		if err != nil {
-			return err
-		}
-		if int(in.Addr2)+len(data) > len(v.VSM) {
-			return fmt.Errorf("req response at VSM %#x beyond %d bytes", in.Addr2, len(v.VSM))
-		}
-		copy(v.VSM[in.Addr2:], data)
 		arrive := v.remote.RemoteRoundTrip(v.now+1, v.CubeID, v.ID, in.DstChip, in.DstVault)
 		if cur, ok := v.vsmReady[in.Addr2]; !ok || arrive > cur {
 			v.vsmReady[in.Addr2] = arrive
@@ -933,113 +844,62 @@ func (v *Vault) issue(in *isa.Instruction) error {
 		v.Stats.RemoteReqs++
 		v.Stats.VSMAcc++
 
-	case isa.OpCalcCRF:
-		a := v.CRF[in.Src1]
-		b := int32(in.Imm)
-		if !in.HasImm {
-			b = v.CRF[in.Src2]
-		}
-		v.CRF[in.Dst] = isa.EvalI(in.ALU, a, b, v.CRF[in.Dst])
-
-	case isa.OpSetiCRF:
-		v.CRF[in.Dst] = int32(in.Imm)
-
 	case isa.OpJump, isa.OpCJump:
-		taken := true
-		if in.Op == isa.OpCJump {
-			taken = v.CRF[in.Cond] != 0
-		}
 		if taken {
-			tgt := int(v.CRF[in.Src1])
-			if tgt < 0 || tgt > len(v.prog.Ins) {
-				return fmt.Errorf("jump target %d outside program of %d instructions", tgt, len(v.prog.Ins))
-			}
-			v.pc = tgt
 			v.now++
 			v.advanceTo(v.now+int64(v.Cfg.BranchPenalty), sim.StallBranch)
 			return nil
 		}
-
-	default:
-		return fmt.Errorf("unhandled opcode %v", in.Op)
 	}
 
 	// Multi-cycle instructions occupy the issued queue until they
 	// complete; bank instructions until their DRAM requests finish.
 	if pend != nil {
-		pend.idx = v.pc
 		pend.defs, pend.uses = defs, uses
 		v.inflight = append(v.inflight, pend)
 	} else if completes > v.now+1 {
 		e := v.newEntry()
-		e.idx, e.defs, e.uses, e.completes = v.pc, defs, uses, completes
+		e.defs, e.uses, e.completes = defs, uses, completes
 		v.inflight = append(v.inflight, e)
 	}
-	v.pc++
 	v.now++
 	return nil
 }
 
-// issueBank executes a bank-accessing instruction: functional transfer
-// at issue, one DRAM request per masked PE, back-pressure on the PG
-// request queues.
-func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int) (*entry, error) {
+// issueBank schedules a bank-accessing instruction whose data effect
+// execFunc has already applied: one DRAM request per masked PE per
+// 128-bit column its span touches, with back-pressure on the PG request
+// queues. n is the number of masked PEs.
+func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *entry {
 	e := v.newEntry()
 	e.extra, e.usesTSV, e.completes = int64(v.Cfg.TPEBus), v.Cfg.PonB, v.now+1
+	// Byte span touched, relative to the bank address: the vector mask's
+	// lanes for RF transfers, one full column beat for PGSM DMA.
+	lo, hi := uint32(4*lowLane(in.VecMask)), uint32(4*highLane(in.VecMask))+4
 	switch in.Op {
 	case isa.OpLdRF, isa.OpStRF:
 		e.extra += int64(v.Cfg.TDataRF)
+		v.Stats.DataRFAcc += n
 	default:
 		e.extra += int64(v.Cfg.TPGSM)
+		v.Stats.PGSMAcc += n
+		lo, hi = 0, dram.AccessBytes
 	}
+	write := in.Op.IsBankStore()
 	for i := 0; i < nPE; i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		pg, pe := v.peByIndex(i)
+		pg, pe := v.peList[i].pg, v.peList[i].pe
 		bankAddr := pe.EffectiveAddr(in.Addr, in.Indirect)
-		// Byte span touched, from the vector mask.
-		spanLo := bankAddr + uint32(4*lowLane(in.VecMask))
-		spanHi := bankAddr + uint32(4*highLane(in.VecMask)) + 4
-		var err error
-		var pgsmAddr uint32
-		switch in.Op {
-		case isa.OpLdRF:
-			err = pe.LoadVector(bankAddr, in.Dst, in.VecMask)
-			v.Stats.DataRFAcc++
-		case isa.OpStRF:
-			err = pe.StoreVector(bankAddr, in.Dst, in.VecMask)
-			v.Stats.DataRFAcc++
-		case isa.OpLdPGSM:
-			pgsmAddr = pe.EffectiveAddr(in.Addr2, in.Indirect2)
-			var b []byte
-			if b, err = pe.ReadBank(bankAddr, dram.AccessBytes); err == nil {
-				err = pg.WritePGSM(pgsmAddr, b)
-			}
-			spanLo, spanHi = bankAddr, bankAddr+dram.AccessBytes
-			v.Stats.PGSMAcc++
-		case isa.OpStPGSM:
-			pgsmAddr = pe.EffectiveAddr(in.Addr2, in.Indirect2)
-			var b []byte
-			if b, err = pg.ReadPGSM(pgsmAddr, dram.AccessBytes); err == nil {
-				err = pe.WriteBank(bankAddr, b)
-			}
-			spanLo, spanHi = bankAddr, bankAddr+dram.AccessBytes
-			v.Stats.PGSMAcc++
-		}
-		if err != nil {
-			// Deliberately not recycled: earlier iterations may have
-			// enqueued requests the controller still references, and the
-			// error aborts the run anyway.
-			return nil, err
-		}
+		spanLo, spanHi := bankAddr+lo, bankAddr+hi
 		// Requests that completed by now free their queue slots before
 		// back-pressure is assessed.
 		pg.Ctrl.AdvanceTo(v.now)
 		// One column request per 128-bit column the span touches: an
 		// unaligned vector access costs two column accesses.
 		for col := spanLo &^ (dram.AccessBytes - 1); col < spanHi; col += dram.AccessBytes {
-			req := v.newReq(pe.Index%v.Cfg.PEsPerPG, col, in.Op.IsBankStore())
+			req := v.newReq(pe.Index%v.Cfg.PEsPerPG, col, write)
 			// DRAM request queue back-pressure stalls the pipeline
 			// (paper Sec. V-C, memory order enforcement rationale).
 			for !pg.Ctrl.Enqueue(v.now, req) {
@@ -1053,17 +913,14 @@ func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int) (*entry, er
 			e.reqs = append(e.reqs, req)
 			e.pgs = append(e.pgs, pg)
 			v.Stats.PEBusBeats++
-			if v.fp != nil && v.fp.DRAMBitFlipRate > 0 && !req.Write {
-				v.injectReadFault(in, pg, pe, req.Bank, bankAddr, col, pgsmAddr)
-			}
 		}
 	}
 	if len(e.reqs) == 0 {
 		// Empty mask: nothing to wait for.
 		v.freeEntry(e)
-		return nil, nil
+		return nil
 	}
-	return e, nil
+	return e
 }
 
 // injectReadFault rolls the fault plan for one 128-bit column read and

@@ -32,11 +32,13 @@ go run ./scripts/linkcheck
 go test -race -cover -coverprofile=coverage.out -timeout 30m ./...
 
 # Benchmark smoke: one iteration of the full-machine benchmark (the
-# fast-forward hot path) and of the functional-mode mirror, so neither
-# bench harness can rot between PRs. -benchtime=1x keeps these to
-# build-and-run checks; any panic or error fails CI. Real numbers come
-# from `go test -bench` per docs/BENCHMARKS.md.
+# fast-forward hot path), of the cycle-mode simulator-core benchmark
+# and of its functional-mode mirror, so no bench harness can rot
+# between PRs. -benchtime=1x keeps these to build-and-run checks; any
+# panic or error fails CI. Real numbers come from `go test -bench` per
+# docs/BENCHMARKS.md.
 go test -run='^$' -bench='^BenchmarkFullMachineRunSame$' -benchtime=1x .
+go test -run='^$' -bench='^BenchmarkSimCore$' -benchtime=1x .
 go test -run='^$' -bench='^BenchmarkSimCoreFunctional$' -benchtime=1x .
 
 # Functional-mode smoke: the Table II suite under -mode functional on
@@ -101,6 +103,7 @@ go test ./internal/fleet -run '^TestFleetProcessSmoke$' -count=1
 go test ./internal/isa -run='^$' -fuzz='^FuzzAssemble$' -fuzztime=10s
 go test ./internal/pixel -run='^$' -fuzz='^FuzzNetpbm$' -fuzztime=10s
 go test . -run='^$' -fuzz='^FuzzFunctionalVsTiming$' -fuzztime=10s
+go test ./internal/vault -run='^$' -fuzz='^FuzzExecFuncVsEvalLane$' -fuzztime=10s
 go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s
 
 # Coverage floor over the internal packages' own statements (cmd/ and

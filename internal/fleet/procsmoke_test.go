@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ipim"
+	"ipim/internal/pixel"
 	"ipim/internal/serve"
 )
 
@@ -210,7 +211,7 @@ func TestFleetProcessSmoke(t *testing.T) {
 		t.Fatalf("fleet stream: status %d: %s", resp.StatusCode, body)
 	}
 	br := bufio.NewReader(resp.Body)
-	first, err := readPGMFrame(br)
+	first, err := pixel.ReadPGMFrame(br)
 	if err != nil {
 		t.Fatalf("reading the first streamed frame: %v", err)
 	}

@@ -117,17 +117,21 @@ func WritePPM(w io.Writer, rp, gp, bp *Image) error {
 // pbmMagic reads the two magic bytes, which the netpbm spec requires
 // at the very start of the stream — no leading whitespace or comments
 // (pbmToken would skip them, letting " P5 ..." impersonate a PGM).
-func pbmMagic(br *bufio.Reader) (string, error) {
+func pbmMagic(br io.ByteReader) (string, error) {
 	var m [2]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return "", fmt.Errorf("pixel: netpbm magic: %w", err)
+	for i := range m {
+		b, err := br.ReadByte()
+		if err != nil {
+			return "", fmt.Errorf("pixel: netpbm magic: %w", err)
+		}
+		m[i] = b
 	}
 	return string(m[:]), nil
 }
 
 // pbmToken reads the next whitespace-delimited token, skipping
 // '#'-comments.
-func pbmToken(br *bufio.Reader) (string, error) {
+func pbmToken(br io.ByteReader) (string, error) {
 	var tok []byte
 	for {
 		b, err := br.ReadByte()
@@ -139,8 +143,10 @@ func pbmToken(br *bufio.Reader) (string, error) {
 		}
 		switch {
 		case b == '#':
-			if _, err := br.ReadString('\n'); err != nil {
-				return "", fmt.Errorf("pixel: netpbm comment: %w", err)
+			for b != '\n' {
+				if b, err = br.ReadByte(); err != nil {
+					return "", fmt.Errorf("pixel: netpbm comment: %w", err)
+				}
 			}
 		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
 			if len(tok) > 0 {
@@ -152,7 +158,7 @@ func pbmToken(br *bufio.Reader) (string, error) {
 	}
 }
 
-func pbmHeader(br *bufio.Reader) (w, h, maxv int, err error) {
+func pbmHeader(br io.ByteReader) (w, h, maxv int, err error) {
 	read := func() (int, error) {
 		tok, err := pbmToken(br)
 		if err != nil {

@@ -1,7 +1,9 @@
 package pixel
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -87,6 +89,70 @@ func FuzzNetpbm(f *testing.F) {
 			}
 			if _, _, _, err := ReadPPM(bytes.NewReader(data)); err == nil {
 				t.Fatal("ReadPPM accepted a non-P6 input")
+			}
+		}
+	})
+}
+
+// FuzzPGMFrames checks that the two views of a multi-frame stream
+// agree: splitting the whole body (SplitPGMFrames) and reading it frame
+// by frame (ReadPGMFrame, as the router's relay does) yield the same
+// frames, or both reject the body. The streaming view applies the
+// split's stream-level rules itself: at least one frame, one geometry.
+func FuzzPGMFrames(f *testing.F) {
+	var frame8x4, frame4x4 bytes.Buffer
+	if err := WritePGM(&frame8x4, Synth(8, 4, 1)); err != nil {
+		f.Fatal(err)
+	}
+	if err := WritePGM(&frame4x4, Synth(4, 4, 2)); err != nil {
+		f.Fatal(err)
+	}
+	two := append(append([]byte{}, frame8x4.Bytes()...), frame8x4.Bytes()...)
+	f.Add(two)
+	f.Add(frame8x4.Bytes())
+	f.Add(append(append([]byte{}, frame8x4.Bytes()...), frame4x4.Bytes()...)) // mixed geometry
+	f.Add(two[:len(two)-3])                                                   // torn last frame
+	f.Add(append(append([]byte{}, two...), 'x'))                              // trailing garbage
+	f.Add([]byte("P5\n# comment\n2 2\n255\n\x00\x01\x02\x03P5 2 2 7\n\x04\x05\x06\x07"))
+	f.Add([]byte("P6\n1 1\n255\n\xff\x00\x7f"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		split, _, _, splitErr := SplitPGMFrames(data, 0)
+
+		var read [][]byte
+		var readErr error
+		br := bufio.NewReader(bytes.NewReader(data))
+		for {
+			frame, err := ReadPGMFrame(br)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				readErr = err
+				break
+			}
+			read = append(read, frame)
+		}
+		readOK := readErr == nil && len(read) > 0
+		for i := 1; readOK && i < len(read); i++ {
+			_, w0, h0, _ := NetpbmDims(read[0])
+			_, w, h, _ := NetpbmDims(read[i])
+			readOK = w == w0 && h == h0
+		}
+
+		if (splitErr == nil) != readOK {
+			t.Fatalf("split and streaming views disagree: split err %v, streaming err %v (%d frames)", splitErr, readErr, len(read))
+		}
+		if splitErr != nil {
+			return
+		}
+		if len(split) != len(read) {
+			t.Fatalf("split %d frames, streaming read %d", len(split), len(read))
+		}
+		for i := range split {
+			if !bytes.Equal(split[i], read[i]) {
+				t.Fatalf("frame %d differs between the split and streaming views", i)
 			}
 		}
 	})

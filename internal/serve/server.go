@@ -40,6 +40,7 @@ import (
 	"ipim"
 	"ipim/internal/autotune"
 	"ipim/internal/host"
+	"ipim/internal/obs"
 )
 
 // Config configures a Server. The zero value is usable: it serves the
@@ -303,7 +304,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		pool:     p,
 		cache:    newArtifactCache(cfg.CacheCap),
-		metrics:  newMetrics(),
 		meter:    host.NewMeter(cfg.Bus),
 		degrade:  newDegradeState(cfg.DegradeThreshold, cfg.DegradeWindow, cfg.DegradeCooldown),
 		backoff:  newJitter(cfg.RetrySeed),
@@ -318,26 +318,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.journal = j
-		s.metrics.journalPending = j.pending
 		s.recovery = newRecoveryState(j.ids(), cfg.RecoveryGrace)
-		s.metrics.recoveryBacklog = s.recovery.backlog
 		if n := s.recovery.backlog(); n > 0 {
 			cfg.Logger.Printf("checkpoint journal: %d interrupted job(s) in %s awaiting resume", n, cfg.CheckpointDir)
 		}
-	}
-	s.metrics.queueDepth = p.queueDepth
-	s.metrics.panicCount = p.panicCount
-	s.metrics.cancelledCount = p.cancelledCount
-	s.metrics.budgetExceededCount = p.budgetExceededCount
-	s.metrics.busySeconds = p.busySeconds
-	s.metrics.cacheStats = s.cache.stats
-	s.metrics.hostSnapshot = func() (int64, int64, int64, int64) {
-		ms := s.meter.Snapshot()
-		return ms.Requests, ms.BytesIn, ms.BytesOut, ms.TransferNS
-	}
-	s.metrics.degraded = func() bool {
-		_, shedding := s.degrade.active()
-		return shedding
 	}
 	t, err := newTuner(&s.cfg, s.cache, s.pool)
 	if err != nil {
@@ -345,12 +329,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.tuner = t
-	if t != nil {
-		s.metrics.tuneSnapshot = t.snapshot
-	}
+	s.metrics = newMetrics(s)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.Handle("/metrics", s.metrics.reg)
 	s.mux.HandleFunc("/v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("/v1/process", s.handleProcess)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
@@ -400,13 +382,12 @@ func (s *Server) isDraining() bool {
 // metrics.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := obs.NewStatusRecorder(w)
 	s.mux.ServeHTTP(rec, r)
 	dur := time.Since(t0)
-	route := metricsRoute(r.URL.Path)
-	s.metrics.observeRequest(route, rec.status, dur)
+	s.metrics.observeRequest(metricsRoute(r.URL.Path), rec.Status, dur)
 	s.cfg.Logger.Printf("method=%s path=%s status=%d bytes=%d dur=%s remote=%s",
-		r.Method, r.URL.Path, rec.status, rec.bytes, dur.Round(time.Microsecond), r.RemoteAddr)
+		r.Method, r.URL.Path, rec.Status, rec.Bytes, dur.Round(time.Microsecond), r.RemoteAddr)
 }
 
 // metricsRoute maps a request path onto a bounded route label set
@@ -418,34 +399,6 @@ func metricsRoute(path string) string {
 	}
 	return "other"
 }
-
-// statusRecorder captures the response status and size for logs and
-// metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	sr.wrote = true
-	n, err := sr.ResponseWriter.Write(b)
-	sr.bytes += int64(n)
-	return n, err
-}
-
-// Unwrap exposes the underlying writer so http.ResponseController can
-// reach its Flusher (the streaming endpoint flushes per frame).
-func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // handleHealthz is pure liveness: it answers 200 as long as the
 // process can serve HTTP at all, draining or not, so orchestrators
@@ -481,11 +434,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w)
 }
 
 // workloadInfo is one entry of the /v1/workloads listing.
@@ -673,7 +621,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	retries := 0
 	for retryable(err) && retries < s.cfg.MaxRetries {
 		retries++
-		s.metrics.observeRetry()
+		s.metrics.retries.Inc()
 		select {
 		case <-time.After(s.backoff.backoff(s.cfg.RetryBackoff, retries-1)):
 		case <-ctx.Done():
@@ -824,7 +772,8 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifa
 		if err := s.journal.write(id, data); err != nil {
 			return err
 		}
-		s.metrics.observeCheckpoint(len(data))
+		s.metrics.ckptWrites.Inc()
+		s.metrics.ckptBytes.Add(int64(len(data)))
 		writes++
 		if n := s.cfg.ChaosCrashAfterCheckpoints; n > 0 && !resumed && writes == n {
 			if _, crashed := s.chaosCrashed.LoadOrStore(id, true); !crashed {
@@ -854,7 +803,7 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifa
 	}
 	if resumed {
 		res.resumed = true
-		s.metrics.observeResume()
+		s.metrics.jobsResumed.Inc()
 	}
 	s.journalRemove(id)
 	return out, bins, stats, nil

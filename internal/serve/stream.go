@@ -187,7 +187,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		for i, img := range imgs {
 			out, stats, err := ipim.RunContext(ctx, m, art, img, budget)
 			for attempt := 0; err != nil && errors.Is(err, ipim.ErrTransientFault) && attempt < s.cfg.MaxRetries; attempt++ {
-				s.metrics.observeRetry()
+				s.metrics.retries.Inc()
 				out, stats, err = ipim.RunContext(ctx, m, art, img, budget)
 			}
 			if err != nil {
@@ -234,7 +234,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	s.degrade.observe(uncorrected)
 	s.metrics.observeRun(cycles, energyJ, injected, corrected, uncorrected)
-	s.metrics.observeStream(int64(written))
+	s.metrics.streams.Inc()
+	s.metrics.streamFrames.Add(int64(written))
 	// One meter record for the whole stream: the transfer model batches
 	// the frames across the bus, which is the amortization the endpoint
 	// exists to claim.

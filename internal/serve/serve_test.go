@@ -376,6 +376,40 @@ func TestMetricsContent(t *testing.T) {
 	}
 }
 
+// TestMemoMetrics: the timing memoizer's effect is visible in /metrics.
+// Repeated cycle-mode requests replay memoized phases: the first runs
+// on a fresh machine, the second records the phases entered from the
+// state a finished run leaves, and the third replays them. Functional
+// mode bypasses the memoizer, so its counters stay at zero.
+func TestMemoMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		mode     string
+		wantHits bool
+	}{{"cycle", true}, {"functional", false}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			s := testServer(t, func(c *Config) { c.Workers = 1 })
+			for i := 0; i < 3; i++ {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, processURL("", "Shift", "mode="+tc.mode),
+					bytes.NewReader(pgmBody(t, 32, 16))))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("process: %d %s", rec.Code, rec.Body.String())
+				}
+			}
+			body := metricsBody(t, s)
+			hits := metricValue(t, body, "ipim_sim_memo_hits_total")
+			misses := metricValue(t, body, "ipim_sim_memo_misses_total")
+			ff := metricValue(t, body, "ipim_sim_fastforwarded_cycles_total")
+			if tc.wantHits && (hits <= 0 || misses <= 0) {
+				t.Errorf("cycle mode: memo hits %v, misses %v; want both > 0", hits, misses)
+			}
+			if !tc.wantHits && (hits != 0 || misses != 0 || ff != 0) {
+				t.Errorf("functional mode: memo hits %v, misses %v, fast-forwarded %v; want all 0", hits, misses, ff)
+			}
+		})
+	}
+}
+
 // metricValue extracts an unlabeled metric's value from an exposition.
 func metricValue(t *testing.T, body, name string) float64 {
 	t.Helper()

@@ -96,12 +96,20 @@ go test ./internal/serve -run '^TestBackgroundTuningSoak$' -count=1
 # cross-process splice path from rotting.
 go test ./internal/fleet -run '^TestFleetProcessSmoke$' -count=1
 
+# Benchmark-module smoke: bench/ is its own module (it replaces ipim
+# with this checkout), so `go build ./...` above never compiles it. Vet
+# and test it here, so a root change that breaks an API the benchmark
+# calls, or a /metrics series it parses, fails CI rather than the
+# benchmark run. Its tests drive every workload for a few requests.
+(cd bench && go vet ./... && go test ./...)
+
 # Fuzz smoke: a short real fuzzing run (not just the seed corpus, which
 # plain `go test` already replays) so the fuzz targets can't bit-rot
 # between PRs. Keep -fuzztime small; this is a build/harness check, not
 # a bug hunt.
 go test ./internal/isa -run='^$' -fuzz='^FuzzAssemble$' -fuzztime=10s
 go test ./internal/pixel -run='^$' -fuzz='^FuzzNetpbm$' -fuzztime=10s
+go test ./internal/pixel -run='^$' -fuzz='^FuzzPGMFrames$' -fuzztime=10s
 go test . -run='^$' -fuzz='^FuzzFunctionalVsTiming$' -fuzztime=10s
 go test ./internal/vault -run='^$' -fuzz='^FuzzExecFuncVsEvalLane$' -fuzztime=10s
 go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s

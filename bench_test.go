@@ -401,19 +401,35 @@ func BenchmarkSimCoreFunctional(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiler measures compilation speed of the heaviest pipeline
-// (LocalLaplacian, ~20 stages).
-func BenchmarkCompiler(b *testing.B) {
-	cfg := OneVaultConfig()
-	wl, err := WorkloadByName("LocalLaplacian")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		w := wl.Build()
-		if _, err := Compile(&cfg, w.Pipe, wl.BenchW, wl.BenchH, Opt); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkCompile measures one compile on the single-vault machine
+// with Opt: each multi-stage kernel the compile-churn benchmark
+// workload rotates through, at its largest geometry (1024×64), and
+// Histogram at 128×64, the compile behind serve-light's set-up.
+func BenchmarkCompile(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		w, h int
+	}{
+		{"Interpolate", 1024, 64}, {"LocalLaplacian", 1024, 64},
+		{"StencilChain", 1024, 64}, {"BilateralGrid", 1024, 64},
+		{"Histogram", 128, 64},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			cfg := OneVaultConfig()
+			wl, err := WorkloadByName(k.name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ins int
+			for i := 0; i < b.N; i++ {
+				art, err := Compile(&cfg, wl.Build().Pipe, k.w, k.h, Opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ins = len(art.Prog.Ins)
+			}
+			b.ReportMetric(float64(ins), "instrs")
+		})
 	}
 }
 

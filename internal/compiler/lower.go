@@ -52,7 +52,11 @@ func (m *module) newLabel() int {
 
 // emit converts the module to a finalized isa.Program.
 func (m *module) emit() (*isa.Program, error) {
-	p := &isa.Program{Name: m.name}
+	n := 0
+	for _, b := range m.blocks {
+		n += len(b.ins)
+	}
+	p := &isa.Program{Name: m.name, Ins: make([]isa.Instruction, 0, n)}
 	for i := 0; i < m.labels; i++ {
 		p.NewLabel()
 	}

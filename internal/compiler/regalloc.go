@@ -36,8 +36,9 @@ type allocator struct {
 
 	// Linearized instruction stream (block, index) pairs.
 	order []instrRef
-	// Live ranges per virtual register, in linear positions.
-	rangeOf map[int]*liveRange
+	// Live ranges per virtual register, in linear positions, indexed
+	// by space and by vreg minus the space's first id (vregBase).
+	ranges [isa.SpaceARF + 1][]liveRange
 }
 
 type instrRef struct {
@@ -46,16 +47,34 @@ type instrRef struct {
 }
 
 type liveRange struct {
-	vreg       int
+	vreg       int // 0 while the slot's vreg has no range
 	start, end int
-	space      isa.RegSpace
+}
+
+// vregBase is the first virtual register id of a space: DRF vregs count
+// up from VRegBase, ARF vregs from 2·VRegBase.
+func vregBase(space isa.RegSpace) int {
+	if space == isa.SpaceARF {
+		return 2 * VRegBase
+	}
+	return VRegBase
+}
+
+// rangeOf returns the live range slot of virtual register v.
+func (a *allocator) rangeOf(space isa.RegSpace, v int) *liveRange {
+	rs := &a.ranges[space]
+	i := v - vregBase(space)
+	if i >= len(*rs) {
+		*rs = append(*rs, make([]liveRange, i+1-len(*rs))...)
+	}
+	return &(*rs)[i]
 }
 
 // Allocate rewrites the module in place, replacing virtual registers
 // with physical ones and inserting spill code. It returns the spill
 // count for diagnostics.
 func Allocate(mod *module, plan *Plan, opts Options) (int, error) {
-	a := &allocator{cfg: plan.Cfg, opts: opts, plan: plan, mod: mod, rangeOf: map[int]*liveRange{}}
+	a := &allocator{cfg: plan.Cfg, opts: opts, plan: plan, mod: mod}
 	a.linearize()
 	a.buildRanges()
 	a.extendLoopRanges()
@@ -118,19 +137,18 @@ func (a *allocator) buildRanges() {
 		for _, space := range []isa.RegSpace{isa.SpaceDRF, isa.SpaceARF} {
 			uses, defs := vrefs(in, space)
 			for _, v := range uses {
-				r, ok := a.rangeOf[v]
-				if !ok {
+				r := a.rangeOf(space, v)
+				if r.vreg == 0 {
 					// Use before def can only be a loop-carried base
 					// register updated in place; start the range here.
-					r = &liveRange{vreg: v, start: pos, space: space}
-					a.rangeOf[v] = r
+					*r = liveRange{vreg: v, start: pos}
 				}
 				r.end = pos
 			}
 			for _, v := range defs {
-				r, ok := a.rangeOf[v]
-				if !ok {
-					a.rangeOf[v] = &liveRange{vreg: v, start: pos, end: pos, space: space}
+				r := a.rangeOf(space, v)
+				if r.vreg == 0 {
+					*r = liveRange{vreg: v, start: pos, end: pos}
 				} else if pos > r.end {
 					r.end = pos
 				}
@@ -176,12 +194,15 @@ func (a *allocator) extendLoopRanges() {
 			}
 		}
 	}
-	for _, r := range a.rangeOf {
-		for _, l := range loops {
-			// Live into the loop and still used inside it: live for the
-			// whole loop.
-			if r.start < l.start && r.end >= l.start && r.end < l.end {
-				r.end = l.end
+	for space := range a.ranges {
+		for i := range a.ranges[space] {
+			r := &a.ranges[space][i]
+			for _, l := range loops {
+				// Live into the loop and still used inside it: live for
+				// the whole loop.
+				if r.vreg != 0 && r.start < l.start && r.end >= l.start && r.end < l.end {
+					r.end = l.end
+				}
 			}
 		}
 	}
@@ -192,8 +213,8 @@ func (a *allocator) extendLoopRanges() {
 // overflow is an error.
 func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map[int]int) error {
 	var ranges []*liveRange
-	for _, r := range a.rangeOf {
-		if r.space == space {
+	for i := range a.ranges[space] {
+		if r := &a.ranges[space][i]; r.vreg != 0 {
 			ranges = append(ranges, r)
 		}
 	}
@@ -204,7 +225,12 @@ func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map
 		return ranges[i].vreg < ranges[j].vreg
 	})
 
-	phys := map[int]int{} // vreg -> physical
+	// phys maps vreg minus base to its physical register, -1 for none.
+	base := vregBase(space)
+	phys := make([]int, len(a.ranges[space]))
+	for i := range phys {
+		phys[i] = -1
+	}
 	type active struct {
 		r    *liveRange
 		phys int
@@ -247,7 +273,7 @@ func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map
 			if victim >= 0 && act[victim].r.end > r.end {
 				v := act[victim]
 				spilled[v.r.vreg] = len(spilled)
-				delete(phys, v.r.vreg)
+				phys[v.r.vreg-base] = -1
 				free = append(free, v.phys)
 				act = append(act[:victim], act[victim+1:]...)
 			} else {
@@ -257,7 +283,7 @@ func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map
 		}
 		p := free[0]
 		free = free[1:]
-		phys[r.vreg] = p
+		phys[r.vreg-base] = p
 		act = append(act, active{r, p})
 	}
 
@@ -266,8 +292,8 @@ func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map
 		if !IsVirtual(idx) {
 			return idx
 		}
-		if p, ok := phys[idx]; ok {
-			return p
+		if i := idx - base; i >= 0 && i < len(phys) && phys[i] >= 0 {
+			return phys[i]
 		}
 		if spilled != nil {
 			if _, ok := spilled[idx]; ok {

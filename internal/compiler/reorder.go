@@ -15,6 +15,21 @@ import (
 // requests from monopolizing the instruction/request queues, and
 // ordering edges that preserve the program's bank access order (and
 // with it the row-buffer locality of the tile layout).
+//
+// The graph is built in one pass. Its alias edges come from the last
+// writer and the readers since it, per memory class and alias tag,
+// rather than from every earlier access of an aliasing tag: a reader
+// depends on the last writer of each aliasing tag, a writer also on
+// every reader since it, and tag -1 aliases every tag. Each edge this
+// adds is an edge of the all-pairs graph. Each all-pairs alias edge
+// i→j it leaves out is implied by a path of at least two alias edges
+// it keeps: the writers of one tag form a chain, so an earlier writer
+// reaches j through the last one, and a reader that is no longer
+// pending reaches j through the first writer after it. Those edges
+// carry at least orderLat each, so Algorithm 1 computes the same T for
+// every node and releases it in the same step; its ready heaps order
+// by (T, index), so successor order does not matter either, and the
+// schedule is identical.
 
 // effects describes an instruction's memory behavior for alias edges.
 type effects struct {
@@ -61,14 +76,15 @@ type edge struct {
 	lat int64
 }
 
+// addEdge adds i→j, or raises the latency of an existing i→j edge.
+// buildDeps adds every edge into j during j's step, so an existing i→j
+// edge can only be the last one out of i.
 func (g *depGraph) addEdge(i, j int, lat int64) {
-	for k, s := range g.succ[i] {
-		if s.to == j {
-			if lat > s.lat {
-				g.succ[i][k].lat = lat
-			}
-			return
+	if s := g.succ[i]; len(s) > 0 && s[len(s)-1].to == j {
+		if lat > s[len(s)-1].lat {
+			s[len(s)-1].lat = lat
 		}
+		return
 	}
 	g.succ[i] = append(g.succ[i], edge{j, lat})
 	g.pred[j]++
@@ -112,95 +128,155 @@ func compClass(op isa.ALUOp) sim.ALUClass {
 	return sim.ClassLogic
 }
 
-// buildDeps constructs the dependency DAG of a block: register RAW/
-// WAR/WAW edges plus memory alias edges (same tag, at least one
-// writer; unknown tags are conservative).
+// regState is the last writer and the readers since it of every
+// register, indexed by register space and number: registers are
+// physical by the time the reorderer runs.
+type regState [isa.SpaceCRF + 1][]regAccess
+
+type regAccess struct {
+	def  int   // last writer + 1; 0 = none
+	uses []int // readers since the last writer
+}
+
+func (s *regState) at(r isa.RegRef) *regAccess {
+	t := &s[r.Space]
+	if r.Index >= len(*t) {
+		*t = append(*t, make([]regAccess, r.Index+1-len(*t))...)
+	}
+	return &(*t)[r.Index]
+}
+
+// aliasState is one memory class's last writer and the readers since
+// it, per alias tag. Tag -1 aliases every tag.
+type aliasState struct {
+	index map[int]int // tag -> position in tags
+	tags  []tagAccess
+}
+
+type tagAccess struct {
+	tag    int
+	writer int   // last writer + 1; 0 = none
+	reads  []int // readers since the last writer
+}
+
+func (s *aliasState) at(tag int) *tagAccess {
+	k, ok := s.index[tag]
+	if !ok {
+		if s.index == nil {
+			s.index = map[int]int{}
+		}
+		k = len(s.tags)
+		s.index[tag] = k
+		s.tags = append(s.tags, tagAccess{tag: tag})
+	}
+	return &s.tags[k]
+}
+
+// access adds the alias edges into instruction j, which reads or (when
+// write) writes the class under tag: from the last writer of every
+// aliasing tag and, for a writer, from every reader since it. It then
+// records j.
+func (s *aliasState) access(g *depGraph, j, tag int, write bool) {
+	from := func(a *tagAccess) {
+		if a.writer > 0 {
+			g.addEdge(a.writer-1, j, orderLat)
+		}
+		if write {
+			for _, r := range a.reads {
+				g.addEdge(r, j, orderLat)
+			}
+		}
+	}
+	if tag < 0 {
+		for k := range s.tags {
+			from(&s.tags[k])
+		}
+	} else {
+		from(s.at(tag))
+		if k, ok := s.index[-1]; ok {
+			from(&s.tags[k])
+		}
+	}
+	a := s.at(tag)
+	if write {
+		a.writer, a.reads = j+1, a.reads[:0]
+	} else {
+		a.reads = append(a.reads, j)
+	}
+}
+
+// buildDeps constructs the dependency DAG of a block in one pass,
+// adding every edge into instruction j during j's step: register RAW/
+// WAW/WAR edges, memory alias edges from the last writer and readers
+// per tag (see the header comment) and, with memOrder, memory order
+// edges.
 func buildDeps(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 	n := len(b.ins)
 	g := &depGraph{n: n, succ: make([][]edge, n), pred: make([]int, n), lat: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		g.lat[i] = estimateLatency(cfg, &b.ins[i])
 	}
-	// Register edges: last writer / readers tracking.
-	lastDef := map[isa.RegRef]int{}
-	lastUses := map[isa.RegRef][]int{}
+	var regs regState
+	var bank, pgsm, vsm aliasState
+	// Memory order enforcement state: the last bank access per tag and
+	// the last one with an unknown tag.
+	prevByTag := map[int]int{}
+	prevUnknown := -1
 	for j := 0; j < n; j++ {
 		in := &b.ins[j]
 		for _, u := range in.Uses() {
-			if w, ok := lastDef[u]; ok {
-				g.addEdge(w, j, g.lat[w]) // RAW: full producer latency
+			r := regs.at(u)
+			if r.def > 0 {
+				g.addEdge(r.def-1, j, g.lat[r.def-1]) // RAW: full producer latency
 			}
-			lastUses[u] = append(lastUses[u], j)
+			r.uses = append(r.uses, j)
 		}
 		for _, d := range in.Defs() {
-			if w, ok := lastDef[d]; ok {
-				g.addEdge(w, j, 1) // WAW: issue order only
+			r := regs.at(d)
+			if r.def > 0 {
+				g.addEdge(r.def-1, j, 1) // WAW: issue order only
 			}
-			for _, r := range lastUses[d] {
-				if r != j {
-					g.addEdge(r, j, 1) // WAR: issue order only
+			for _, u := range r.uses {
+				if u != j {
+					g.addEdge(u, j, 1) // WAR: issue order only
 				}
 			}
-			lastDef[d] = j
-			delete(lastUses, d)
+			r.def, r.uses = j+1, r.uses[:0]
 		}
-	}
-	// Memory alias edges.
-	alias := func(t1, t2 int) bool { return t1 == t2 || t1 < 0 || t2 < 0 }
-	for j := 0; j < n; j++ {
-		ej := effectsOf(&b.ins[j])
-		if ej == (effects{}) {
+
+		e, t := effectsOf(in), b.tags[j]
+		if e.readsBank || e.writesBank {
+			bank.access(g, j, t.bank, e.writesBank)
+		}
+		if e.readsPGSM || e.writesPGSM {
+			pgsm.access(g, j, t.pgsm, e.writesPGSM)
+		}
+		if e.readsVSM || e.writesVSM {
+			vsm.access(g, j, t.vsm, e.writesVSM)
+		}
+
+		if !memOrder || !in.Op.AccessesBank() {
 			continue
 		}
-		tj := b.tags[j]
-		for i := 0; i < j; i++ {
-			ei := effectsOf(&b.ins[i])
-			if ei == (effects{}) {
-				continue
-			}
-			ti := b.tags[i]
-			conflict :=
-				(ei.writesBank && (ej.readsBank || ej.writesBank) || ej.writesBank && ei.readsBank) &&
-					alias(ti.bank, tj.bank) ||
-					(ei.writesPGSM && (ej.readsPGSM || ej.writesPGSM) || ej.writesPGSM && ei.readsPGSM) &&
-						alias(ti.pgsm, tj.pgsm) ||
-					(ei.writesVSM && (ej.readsVSM || ej.writesVSM) || ej.writesVSM && ei.readsVSM) &&
-						alias(ti.vsm, tj.vsm)
-			if conflict {
-				g.addEdge(i, j, orderLat)
-			}
-		}
-	}
-	if memOrder {
 		// Memory order enforcement: bank accesses to the same buffer
 		// keep program order (the lowering emits them row-sequentially,
 		// so this preserves row-buffer locality); accesses with unknown
 		// tags chain conservatively with everything (paper Fig. 5).
-		prevByTag := map[int]int{}
-		prevUnknown := -1
-		for j := 0; j < n; j++ {
-			if !b.ins[j].Op.AccessesBank() {
-				continue
-			}
-			tag := b.tags[j].bank
-			if tag < 0 {
-				// Unknown: order against every prior bank access.
-				for _, p := range prevByTag {
-					g.addEdge(p, j, orderLat)
-				}
-				if prevUnknown >= 0 {
-					g.addEdge(prevUnknown, j, orderLat)
-				}
-				prevUnknown = j
-				continue
-			}
-			if p, ok := prevByTag[tag]; ok {
+		if t.bank < 0 {
+			// Unknown: order against every prior bank access.
+			for _, p := range prevByTag {
 				g.addEdge(p, j, orderLat)
 			}
-			if prevUnknown >= 0 {
-				g.addEdge(prevUnknown, j, orderLat)
-			}
-			prevByTag[tag] = j
+		} else if p, ok := prevByTag[t.bank]; ok {
+			g.addEdge(p, j, orderLat)
+		}
+		if prevUnknown >= 0 {
+			g.addEdge(prevUnknown, j, orderLat)
+		}
+		if t.bank < 0 {
+			prevUnknown = j
+		} else {
+			prevByTag[t.bank] = j
 		}
 	}
 	return g
@@ -228,8 +304,9 @@ func (h *readyHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:l
 
 // schedule runs Algorithm 1 on one block: topological list scheduling
 // with T(v) timestamps; among ready nodes, a load whose T is within
-// the current step is preferred, otherwise the smallest T.
-func schedule(cfg *sim.Config, b *block, g *depGraph) {
+// the current step is preferred, otherwise the smallest T. It returns
+// the issue order as a permutation of the block's indices.
+func schedule(b *block, g *depGraph) []int {
 	n := g.n
 	T := make([]int64, n)
 	loads := &readyHeap{}
@@ -276,9 +353,14 @@ func schedule(cfg *sim.Config, b *block, g *depGraph) {
 			}
 		}
 	}
-	// Apply the permutation.
-	ins := make([]isa.Instruction, n)
-	tags := make([]memTag, n)
+	return perm
+}
+
+// permute reorders the block so that position pos holds the
+// instruction previously at perm[pos].
+func (b *block) permute(perm []int) {
+	ins := make([]isa.Instruction, len(perm))
+	tags := make([]memTag, len(perm))
 	for pos, v := range perm {
 		ins[pos] = b.ins[v]
 		tags[pos] = b.tags[v]
@@ -296,19 +378,6 @@ func Reorder(mod *module, cfg *sim.Config, opts Options) {
 		if !b.reorderable || len(b.ins) < 2 {
 			continue
 		}
-		g := buildDeps(cfg, b, opts.MemOrder)
-		schedule(cfg, b, g)
+		b.permute(schedule(b, buildDeps(cfg, b, opts.MemOrder)))
 	}
-}
-
-// DepEdgesForTest exposes the dependency graph for property tests.
-func DepEdgesForTest(cfg *sim.Config, b *block, memOrder bool) [][]int {
-	g := buildDeps(cfg, b, memOrder)
-	out := make([][]int, g.n)
-	for i, succs := range g.succ {
-		for _, e := range succs {
-			out[i] = append(out[i], e.to)
-		}
-	}
-	return out
 }

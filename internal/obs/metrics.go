@@ -23,7 +23,7 @@ import (
 type Type string
 
 // The metric types a caller-sampled family can take; histograms are
-// only built with HistogramVec.
+// only built with Histogram and HistogramVec.
 const (
 	TypeCounter   Type = "counter"
 	TypeGauge     Type = "gauge"
@@ -184,19 +184,33 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
+// write renders the histogram's series under the label pairs, which
+// are empty for an unlabeled histogram.
 func (h *Histogram) write(w io.Writer, name, pairs string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	le, labels := "", ""
+	if pairs != "" {
+		le, labels = pairs+",", "{"+pairs+"}"
+	}
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.counts[i]
 		// The shortest exact decimal, as Prometheus clients print bounds.
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, pairs, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, strconv.FormatFloat(bound, 'g', -1, 64), cum)
 	}
 	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, pairs, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, pairs, h.sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, pairs, h.count)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, h.sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count)
+}
+
+// Histogram registers an unlabeled histogram with the given ascending
+// bucket bounds.
+func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	r.add(typeHistogram, name, help, func(w io.Writer) { h.write(w, name, "") })
+	return h
 }
 
 // HistogramVec is a histogram family partitioned by label values.

@@ -65,6 +65,27 @@ x_workers{state="ready"} 2
 	}
 }
 
+func TestUnlabeledHistogram(t *testing.T) {
+	reg := &Registry{}
+	h := reg.Histogram("x_compile_seconds", "Compile time.", []float64{0.01, 0.1})
+	h.Observe(0.005)
+	h.Observe(0.05)
+	h.Observe(0.2)
+	var b strings.Builder
+	reg.Write(&b)
+	want := `# HELP x_compile_seconds Compile time.
+# TYPE x_compile_seconds histogram
+x_compile_seconds_bucket{le="0.01"} 1
+x_compile_seconds_bucket{le="0.1"} 2
+x_compile_seconds_bucket{le="+Inf"} 3
+x_compile_seconds_sum 0.255
+x_compile_seconds_count 3
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestObserveDoesNotAllocate pins the per-request cost: once a label set
 // exists, counting and observing it allocates nothing.
 func TestObserveDoesNotAllocate(t *testing.T) {

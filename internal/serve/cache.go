@@ -3,9 +3,11 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"time"
 
 	"ipim"
 	"ipim/internal/autotune"
+	"ipim/internal/obs"
 )
 
 // cacheKey identifies one compiled artifact: the workload, the input
@@ -45,6 +47,10 @@ type artifactCache struct {
 	entries map[cacheKey]*cacheEntry
 
 	hits, misses, evictions, swaps int64
+
+	// compileSeconds, when set, observes the wall time of every
+	// compile a miss runs, failed ones included.
+	compileSeconds *obs.Histogram
 }
 
 func newArtifactCache(capacity int) *artifactCache {
@@ -85,7 +91,11 @@ func (c *artifactCache) get(key cacheKey, compile func() (*ipim.Artifact, error)
 	}
 	c.mu.Unlock()
 
+	start := time.Now()
 	e.art, e.err = compile()
+	if c.compileSeconds != nil {
+		c.compileSeconds.Observe(time.Since(start).Seconds())
+	}
 	if e.err != nil {
 		c.mu.Lock()
 		// Only remove if this entry still owns the slot (it may have

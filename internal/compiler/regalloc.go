@@ -51,11 +51,10 @@ type liveRange struct {
 	start, end int
 }
 
-// vregBase is the first virtual register id of a space: DRF vregs count
-// up from VRegBase, ARF vregs from 2·VRegBase.
+// vregBase is the first virtual register id of a space.
 func vregBase(space isa.RegSpace) int {
 	if space == isa.SpaceARF {
-		return 2 * VRegBase
+		return aregBase
 	}
 	return VRegBase
 }

@@ -142,42 +142,37 @@ func checkScheduleVsRef(t *testing.T, cfg *sim.Config, b *block, memOrder bool, 
 }
 
 // TestScheduleMatchesReference runs every reorderable block of every
-// program-golden compile, after register allocation as Compile runs
-// it, through checkScheduleVsRef under the compile's memory-order
-// setting.
+// program-golden compile, as Compile hands it to Reorder, through
+// checkScheduleVsRef under the compile's memory-order setting. No
+// block may hold a sync barrier: nothing in the graph would keep one
+// in place.
 func TestScheduleMatchesReference(t *testing.T) {
 	blocks := 0
 	for _, c := range goldenCompiles() {
 		cfg := c.cfg
-		pipe := c.pipe()
-		plan, err := NewPlan(&cfg, pipe, c.w, c.h)
+		plan, err := NewPlan(&cfg, c.pipe(), c.w, c.h)
 		if err != nil {
 			continue // pinned as an error by TestProgramGolden
 		}
-		lower := Lower
-		if pipe.Histogram {
-			lower = lowerHistogram
-		}
-		mod, err := lower(plan)
+		mods, _, err := allocatedModules(plan, c.opts)
 		if err != nil {
 			continue // pinned as an error by TestProgramGolden
 		}
-		mods := []*module{mod}
-		if pipe.Histogram && cfg.TotalVaults() > 1 {
-			if mod, err = lowerHistogramVariant(plan, true); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			mods = append(mods, mod)
-		}
-		for _, mod := range mods {
-			if _, err := Allocate(mod, plan, c.opts); err != nil {
-				continue // pinned as an error by TestProgramGolden
-			}
+		for mi, mod := range mods {
 			for bi, b := range mod.blocks {
-				if !b.reorderable || len(b.ins) < 2 {
+				if !b.reorderable {
 					continue
 				}
-				checkScheduleVsRef(t, &cfg, b, c.opts.MemOrder, fmt.Sprintf("%s block %d", c.name, bi))
+				what := fmt.Sprintf("%s module %d block %d", c.name, mi, bi)
+				for i := range b.ins {
+					if b.ins[i].Op == isa.OpSync {
+						t.Fatalf("%s: sync at %d in reorderable block", what, i)
+					}
+				}
+				if len(b.ins) < 2 {
+					continue
+				}
+				checkScheduleVsRef(t, &cfg, b, c.opts.MemOrder, what)
 				blocks++
 			}
 		}

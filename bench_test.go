@@ -13,6 +13,7 @@ package ipim
 // EXPERIMENTS.md for the paper-vs-measured record.
 
 import (
+	"context"
 	"testing"
 
 	"ipim/internal/compiler"
@@ -383,14 +384,13 @@ func BenchmarkSimCoreFunctional(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.SetMode(FunctionalMode)
 			if err := compiler.LoadInput(m, art, img); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var issued int64
 			for i := 0; i < b.N; i++ {
-				stats, err := compiler.Execute(m, art)
+				stats, err := compiler.ExecuteContext(context.Background(), m, art, RunOptions{Mode: FunctionalMode})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -140,7 +140,7 @@ func TestCancelAdversarialPrograms(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				defer cancel()
 				t0 := time.Now()
-				_, err = m.RunSameContext(ctx, prog)
+				_, err = m.RunSameContext(ctx, prog, RunOptions{})
 				elapsed := time.Since(t0)
 				if !errors.Is(err, ErrCancelled) {
 					t.Fatalf("err = %v, want ErrCancelled", err)
@@ -251,8 +251,7 @@ func TestMaxPhaseStepsCatchesNeverSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetBudget(RunOptions{MaxPhaseSteps: 10_000})
-	_, err = m.RunSame(prog)
+	_, err = m.RunSameContext(context.Background(), prog, RunOptions{MaxPhaseSteps: 10_000})
 	if !errors.Is(err, ErrCycleBudget) {
 		t.Fatalf("err = %v, want ErrCycleBudget", err)
 	}
@@ -266,7 +265,7 @@ func TestMaxPhaseStepsCatchesNeverSync(t *testing.T) {
 // clock, so cancellation must ride the issued-instruction counter — an
 // adversarial never-syncing program on a functional machine must still
 // be interrupted by the context deadline, and the machine must come
-// back Reset-equivalent (mode restored to cycle for the comparison).
+// back Reset-equivalent (the comparison runs in cycle mode).
 func TestFunctionalCancelAdversarialPrograms(t *testing.T) {
 	for name := range adversarialPrograms {
 		for _, par := range []int{1, 4} {
@@ -277,11 +276,10 @@ func TestFunctionalCancelAdversarialPrograms(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.SetParallelism(par)
-				m.SetMode(FunctionalMode)
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				defer cancel()
 				t0 := time.Now()
-				_, err = m.RunSameContext(ctx, prog)
+				_, err = m.RunSameContext(ctx, prog, RunOptions{Mode: FunctionalMode})
 				elapsed := time.Since(t0)
 				if !errors.Is(err, ErrCancelled) {
 					t.Fatalf("err = %v, want ErrCancelled", err)
@@ -292,7 +290,6 @@ func TestFunctionalCancelAdversarialPrograms(t *testing.T) {
 				if elapsed > 10*time.Second {
 					t.Errorf("cancellation took %v — the functional interrupt poll never fired", elapsed)
 				}
-				m.SetMode(DefaultMode)
 				assertReusableAfterAbort(t, m)
 			})
 		}
@@ -310,16 +307,13 @@ func TestFunctionalMaxCyclesIsInstructionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetMode(FunctionalMode)
-	m.SetBudget(RunOptions{MaxCycles: 10_000})
-	_, err = m.RunSame(prog)
+	_, err = m.RunSameContext(context.Background(), prog, RunOptions{Mode: FunctionalMode, MaxCycles: 10_000})
 	if !errors.Is(err, ErrCycleBudget) {
 		t.Fatalf("err = %v, want ErrCycleBudget", err)
 	}
 	if !strings.Contains(err.Error(), "instructions into the run") {
 		t.Errorf("functional budget error should name the instruction bound: %q", err)
 	}
-	m.SetMode(DefaultMode)
 	assertReusableAfterAbort(t, m)
 }
 

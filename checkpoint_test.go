@@ -16,6 +16,7 @@ package ipim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -203,11 +204,67 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s/ff=%v/workers=%d/faults=%g", wlName, ff, workers, rate)
 					t.Run(name, func(t *testing.T) {
-						ckptDifferential(t, cfg, wlName, workers, ff, plan, DefaultMode)
+						ckptDifferential(t, cfg, wlName, workers, ff, plan, CycleMode)
 					})
 				}
 			}
 		}
+	}
+}
+
+// TestCheckpointResumeLooserBudget pins how a budget-aborted run is
+// continued. Its last checkpoint, resumed with zero options, keeps the
+// checkpointed MaxCycles and trips it again; resumed with a looser
+// MaxCycles, it completes with the bins and Stats of an unbudgeted run
+// that was never interrupted.
+func TestCheckpointResumeLooserBudget(t *testing.T) {
+	cfg := detConfig()
+	art, img, _ := ckptArtifact(t, &cfg, "Histogram", 11)
+	refBins, refStats, err := RunHistogram(ckptMachine(t, cfg, 1, true, nil), art, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var last []byte
+	taken := 0
+	m := ckptMachine(t, cfg, 1, true, nil)
+	_, _, err = RunHistogramContext(context.Background(), m, art, img, RunOptions{
+		MaxCycles:       refStats.Cycles / 2,
+		CheckpointEvery: 1,
+		CheckpointSink: func(data []byte) error {
+			last = append(last[:0], data...)
+			taken++
+			return nil
+		},
+	})
+	if !errors.Is(err, ErrCycleBudget) {
+		t.Fatalf("budgeted run: err = %v, want ErrCycleBudget", err)
+	}
+	if taken < 2 {
+		t.Fatalf("budgeted run took %d checkpoints; want a mid-run one", taken)
+	}
+
+	tight, err := RestoreMachine(bytes.NewReader(last), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ResumeHistogram(context.Background(), tight, art, RunOptions{}); !errors.Is(err, ErrCycleBudget) {
+		t.Errorf("resume under the checkpointed budget: err = %v, want ErrCycleBudget", err)
+	}
+
+	loose, err := RestoreMachine(bytes.NewReader(last), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, stats, err := ResumeHistogram(context.Background(), loose, art, RunOptions{MaxCycles: 2 * refStats.Cycles})
+	if err != nil {
+		t.Fatalf("resume under a looser budget: %v", err)
+	}
+	if !reflect.DeepEqual(refBins, bins) {
+		t.Error("resumed bins diverge from the uninterrupted run")
+	}
+	if !reflect.DeepEqual(refStats, stats) {
+		t.Errorf("resumed stats diverge:\nwant %+v\ngot  %+v", refStats, stats)
 	}
 }
 
@@ -345,5 +402,17 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	other.PGsPerVault = 1
 	if _, err := RestoreMachine(bytes.NewReader(data), other); !errors.Is(err, ErrCheckpointConfig) {
 		t.Errorf("restore onto mismatched config: got %v, want ErrCheckpointConfig", err)
+	}
+}
+
+// TestCheckpointRejectsVersion1: a checkpoint in the version-1 layout,
+// which still carried per-mesh link images and a second mode byte, is
+// refused by its version field before any payload is parsed.
+func TestCheckpointRejectsVersion1(t *testing.T) {
+	cfg := detConfig()
+	data := finalState(t, ckptMachine(t, cfg, 1, true, nil))
+	binary.LittleEndian.PutUint32(data[len("IPIMCKPT"):], 1)
+	if _, err := RestoreMachine(bytes.NewReader(data), cfg); !errors.Is(err, ErrCheckpointVersion) {
+		t.Errorf("restore of a version-1 checkpoint: got %v, want ErrCheckpointVersion", err)
 	}
 }

@@ -11,6 +11,7 @@ package ipim
 // reduced size).
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -160,8 +161,7 @@ func TestDNNFunctionalMatchesCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mf.SetMode(FunctionalMode)
-			funOut, funStats, err := Run(mf, art, img)
+			funOut, funStats, err := RunContext(context.Background(), mf, art, img, RunOptions{Mode: FunctionalMode})
 			if err != nil {
 				t.Fatalf("functional run: %v", err)
 			}
@@ -205,8 +205,7 @@ func TestDNNSerialParallelIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					m.SetParallelism(par)
-					m.SetMode(mode)
-					out, stats, err := Run(m, art, img)
+					out, stats, err := RunContext(context.Background(), m, art, img, RunOptions{Mode: mode})
 					if err != nil {
 						t.Fatalf("run (mode=%v par=%d): %v", mode, par, err)
 					}

@@ -10,6 +10,7 @@ package ipim
 // `go test -fuzz=FuzzFunctionalVsTiming .` explores further.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -31,9 +32,7 @@ func runModeFuzz(prog *Program, mode Mode) (*Machine, error) {
 		panic(err)
 	}
 	m.SetParallelism(1)
-	m.SetMode(mode)
-	m.SetBudget(RunOptions{MaxPhaseSteps: 4096})
-	_, err = m.RunSame(prog)
+	_, err = m.RunSameContext(context.Background(), prog, RunOptions{Mode: mode, MaxPhaseSteps: 4096})
 	return m, err
 }
 

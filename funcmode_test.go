@@ -32,10 +32,11 @@ import (
 
 // modeRun executes one compiled workload run on m, reducing image and
 // histogram outputs to one comparable []float32.
-func modeRun(t *testing.T, m *Machine, art *Artifact, img *Image, histogram bool) (Stats, []float32) {
+func modeRun(t *testing.T, m *Machine, art *Artifact, img *Image, histogram bool, mode Mode) (Stats, []float32) {
 	t.Helper()
+	opts := RunOptions{Mode: mode}
 	if histogram {
-		bins, stats, err := RunHistogram(m, art, img)
+		bins, stats, err := RunHistogramContext(context.Background(), m, art, img, opts)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -45,7 +46,7 @@ func modeRun(t *testing.T, m *Machine, art *Artifact, img *Image, histogram bool
 		}
 		return stats, out
 	}
-	out, stats, err := Run(m, art, img)
+	out, stats, err := RunContext(context.Background(), m, art, img, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -73,14 +74,13 @@ func TestFunctionalMatchesCycleAllWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cycStats, cycOut := modeRun(t, mc, art, img, histogram)
+				cycStats, cycOut := modeRun(t, mc, art, img, histogram, CycleMode)
 
 				mf, err := NewMachine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mf.SetMode(FunctionalMode)
-				funStats, funOut := modeRun(t, mf, art, img, histogram)
+				funStats, funOut := modeRun(t, mf, art, img, histogram, FunctionalMode)
 
 				if !reflect.DeepEqual(cycOut, funOut) {
 					t.Errorf("functional output diverges from cycle mode")
@@ -167,8 +167,7 @@ func TestFunctionalSerialParallelIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetParallelism(par)
-		m.SetMode(FunctionalMode)
-		stats, out := modeRun(t, m, art, img, false)
+		stats, out := modeRun(t, m, art, img, false, FunctionalMode)
 		if i == 0 {
 			ref, refOut = stats, out
 			continue
@@ -247,8 +246,8 @@ func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 			memoOn.SetFaultPlan(plan)
 			memoOff.SetFaultPlan(plan)
 			for run := 0; run < 3; run++ {
-				mStats, mOut := modeRun(t, memoOn, art, img, histogram)
-				sStats, sOut := modeRun(t, memoOff, art, img, histogram)
+				mStats, mOut := modeRun(t, memoOn, art, img, histogram, CycleMode)
+				sStats, sOut := modeRun(t, memoOff, art, img, histogram, CycleMode)
 				if !reflect.DeepEqual(mStats, sStats) {
 					t.Errorf("draw %d run %d (%s, %d cubes × %d vaults, %d PGs × %d PEs, page=%v sched=%v, workers=%d, rate=%g): stats diverge:\nmemoized: %+v\nstepwise: %+v",
 						i, run, wlName, cfg.Cubes, cfg.VaultsPerCube, cfg.PGsPerVault, cfg.PEsPerPG,
@@ -383,12 +382,12 @@ func TestTimingMemoInvalidation(t *testing.T) {
 		// run executes identically, so the very next unbudgeted run is
 		// back in steady state and hits.
 		m, h0, m0 := newWarm(t)
-		m.SetBudget(RunOptions{MaxCycles: 1 << 40})
-		runOnce(t, m)
+		if _, _, err := RunContext(context.Background(), m, art, img, RunOptions{MaxCycles: 1 << 40}); err != nil {
+			t.Fatal(err)
+		}
 		if h, ms := m.TimingMemoStats(); h != h0 || ms != m0 {
 			t.Errorf("budgeted run consulted the memoizer (hits %d -> %d, misses %d -> %d)", h0, h, m0, ms)
 		}
-		m.SetBudget(RunOptions{})
 		// A single run may legitimately miss on a refresh-epoch regime
 		// change; a few consecutive runs must reach a hit again — which
 		// is only possible if the cache survived the budgeted run.
@@ -512,8 +511,8 @@ func TestNoMemoEnvOverride(t *testing.T) {
 }
 
 // TestHistogramAllModes pins RunHistogram as a mode invariant: the bins
-// must be bit-identical under the machine default, an explicit cycle
-// override, and the functional interpreter — and a tiny execution
+// must be bit-identical under the zero Mode, an explicit CycleMode,
+// and the functional interpreter — and a tiny execution
 // budget must abort every mode with the same typed ErrCycleBudget,
 // worded in that mode's own unit (cycles vs. issued instructions).
 func TestHistogramAllModes(t *testing.T) {
@@ -533,7 +532,7 @@ func TestHistogramAllModes(t *testing.T) {
 		name string
 		mode Mode
 	}{
-		{"default", DefaultMode},
+		{"default", 0}, // the zero Mode
 		{"cycle", CycleMode},
 		{"functional", FunctionalMode},
 	} {

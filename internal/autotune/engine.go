@@ -160,12 +160,11 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 	// second verification.
 	m.Reset()
 	m.SetDRAMPolicy(c.Page, c.Sched)
-	m.SetBudget(sim.RunOptions{Mode: sim.FunctionalMode})
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		r.Err = err
 		return r
 	}
-	if _, err := compiler.ExecuteContext(ctx, m, art); err != nil {
+	if _, err := compiler.ExecuteContext(ctx, m, art, sim.RunOptions{Mode: sim.FunctionalMode}); err != nil {
 		r.Err = err
 		return r
 	}
@@ -184,12 +183,11 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 	// precondition for worker-count determinism.
 	m.Reset()
 	m.SetDRAMPolicy(c.Page, c.Sched)
-	m.SetBudget(sim.RunOptions{MaxCycles: e.MaxCycles})
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		r.Err = err
 		return r
 	}
-	stats, err := compiler.ExecuteContext(ctx, m, art)
+	stats, err := compiler.ExecuteContext(ctx, m, art, sim.RunOptions{MaxCycles: e.MaxCycles})
 	if err != nil {
 		r.Err = err
 		return r

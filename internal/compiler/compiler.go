@@ -4,24 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"ipim/internal/cube"
 	"ipim/internal/halide"
 	"ipim/internal/isa"
 	"ipim/internal/sim"
 )
-
-// Machineish is the execution surface Execute needs (satisfied by
-// *cube.Machine; an interface avoids an import cycle in tests).
-type Machineish interface {
-	RunSame(p *isa.Program) (sim.Stats, error)
-	Run(programs map[[2]int]*isa.Program) (sim.Stats, error)
-}
-
-// ContextMachineish is the cancellable execution surface ExecuteContext
-// needs (also satisfied by *cube.Machine).
-type ContextMachineish interface {
-	RunSameContext(ctx context.Context, p *isa.Program) (sim.Stats, error)
-	RunContext(ctx context.Context, programs map[[2]int]*isa.Program) (sim.Stats, error)
-}
 
 type simStats = sim.Stats
 
@@ -103,20 +90,17 @@ func allocatedModules(plan *Plan, opts Options) (mods []*module, spills int, err
 
 // Execute runs a compiled artifact on the machine: the base program on
 // every vault, with the leader variant (when present) on vault (0,0).
-func Execute(m Machineish, art *Artifact) (simStats, error) {
-	if art.LeaderProg == nil {
-		return m.RunSame(art.Prog)
-	}
-	return m.Run(artPrograms(art))
+func Execute(m *cube.Machine, art *Artifact) (simStats, error) {
+	return ExecuteContext(context.Background(), m, art, sim.RunOptions{})
 }
 
-// ExecuteContext is Execute with cooperative cancellation and budget
-// enforcement (the semantics of cube.Machine.RunContext).
-func ExecuteContext(ctx context.Context, m ContextMachineish, art *Artifact) (simStats, error) {
+// ExecuteContext is Execute with cooperative cancellation and the run
+// options in opts (the semantics of cube.Machine.RunContext).
+func ExecuteContext(ctx context.Context, m *cube.Machine, art *Artifact, opts sim.RunOptions) (simStats, error) {
 	if art.LeaderProg == nil {
-		return m.RunSameContext(ctx, art.Prog)
+		return m.RunSameContext(ctx, art.Prog, opts)
 	}
-	return m.RunContext(ctx, artPrograms(art))
+	return m.RunContext(ctx, artPrograms(art), opts)
 }
 
 // artPrograms expands an artifact with a leader variant into the
@@ -130,11 +114,4 @@ func artPrograms(art *Artifact) map[[2]int]*isa.Program {
 	}
 	progs[[2]int{0, 0}] = art.LeaderProg
 	return progs
-}
-
-// StaticCounts returns the static instruction mix of the artifact
-// (used by analysis tools; the dynamic Fig. 11 mix comes from sim
-// stats).
-func (a *Artifact) StaticCounts() [isa.NumCategories]int {
-	return a.Prog.CountByCategory()
 }

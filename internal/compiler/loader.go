@@ -137,15 +137,3 @@ func ReadHistogram(m *cube.Machine, art *Artifact) ([]int32, error) {
 	}
 	return bins, nil
 }
-
-// RunOnMachine is the convenience end-to-end path: load, execute the
-// same program on every vault, gather.
-func RunOnMachine(m *cube.Machine, art *Artifact, img *pixel.Image) (*pixel.Image, error) {
-	if err := LoadInput(m, art, img); err != nil {
-		return nil, err
-	}
-	if _, err := Execute(m, art); err != nil {
-		return nil, err
-	}
-	return ReadOutput(m, art)
-}

@@ -13,11 +13,11 @@ package cube
 //     pointer sharing is restored so memo keys and artifact identity
 //     behave as before the checkpoint)
 //  4. one vault image per vault, in (cube, vault) order
-//  5. link state for every mesh, the SERDES mesh, and every per-source
-//     port shard, in construction order
-//  6. the in-progress run, if any: budget, resolved mode, the run's
-//     baseline stats snapshot, the active vault set, and each active
-//     vault's budget-origin offset
+//  5. link state for every per-source port shard: each cube mesh's
+//     shard, then the SERDES shard, in (cube, vault) order
+//  6. the in-progress run, if any: budget, mode, the run's baseline
+//     stats snapshot, the active vault set, and each active vault's
+//     budget-origin offset
 //
 // Restore follows the decode-then-apply discipline end to end: the
 // whole payload is parsed and validated into images first and only then
@@ -63,8 +63,7 @@ var ErrNoResume = errors.New("cube: no checkpointed run to resume")
 type liveRun struct {
 	keys   [][2]int
 	active []*vault.Vault
-	budget sim.RunOptions
-	mode   sim.Mode
+	opts   sim.RunOptions
 	before sim.Stats
 }
 
@@ -72,8 +71,7 @@ type liveRun struct {
 // ResumeContext.
 type resumeState struct {
 	keys       [][2]int
-	budget     sim.RunOptions
-	mode       sim.Mode
+	opts       sim.RunOptions // without CheckpointSink, which cannot be serialized
 	before     sim.Stats
 	elapsed    []int64
 	funcIssued []int64
@@ -164,11 +162,7 @@ func (m *Machine) checkpointPayload() []byte {
 		}
 	}
 
-	// Interconnect: meshes, SERDES, then every port shard.
-	for _, mesh := range m.meshes {
-		mesh.EncodeCkpt(e)
-	}
-	m.serdes.EncodeCkpt(e)
+	// Interconnect: every port shard.
 	for _, ps := range m.ports {
 		for _, p := range ps {
 			for _, st := range p.mesh {
@@ -181,11 +175,10 @@ func (m *Machine) checkpointPayload() []byte {
 	// In-progress run, if any.
 	if r := m.run; r != nil {
 		e.Bool(true)
-		e.I64(r.budget.MaxCycles)
-		e.I64(r.budget.MaxPhaseSteps)
-		e.I64(r.budget.CheckpointEvery)
-		e.U8(uint8(r.budget.Mode))
-		e.U8(uint8(r.mode))
+		e.I64(r.opts.MaxCycles)
+		e.I64(r.opts.MaxPhaseSteps)
+		e.I64(r.opts.CheckpointEvery)
+		e.U8(uint8(r.opts.Mode))
 		r.before.EncodeCkpt(e)
 		e.U32(uint32(len(r.keys)))
 		for i, k := range r.keys {
@@ -297,18 +290,6 @@ func (m *Machine) restorePayload(payload []byte) error {
 		imgs = append(imgs, img)
 	}
 
-	var meshImgs []*noc.LinkImage
-	for _, mesh := range m.meshes {
-		img, err := noc.DecodeLinkCkpt(d, mesh.Nodes())
-		if err != nil {
-			return err
-		}
-		meshImgs = append(meshImgs, img)
-	}
-	serdesImg, err := noc.DecodeLinkCkpt(d, m.serdes.Nodes())
-	if err != nil {
-		return err
-	}
 	var portImgs [][]*noc.LinkImage // per port: meshes..., serdes
 	for _, ps := range m.ports {
 		for range ps {
@@ -330,15 +311,12 @@ func (m *Machine) restorePayload(payload []byte) error {
 
 	var rs *resumeState
 	if d.Bool() {
-		rs = &resumeState{
-			budget: sim.RunOptions{
-				MaxCycles:       d.I64(),
-				MaxPhaseSteps:   d.I64(),
-				CheckpointEvery: d.I64(),
-				Mode:            sim.Mode(d.U8()),
-			},
-			mode: sim.Mode(d.U8()),
-		}
+		rs = &resumeState{opts: sim.RunOptions{
+			MaxCycles:       d.I64(),
+			MaxPhaseSteps:   d.I64(),
+			CheckpointEvery: d.I64(),
+			Mode:            sim.Mode(d.U8()),
+		}}
 		rs.before.DecodeCkpt(d)
 		nActive := int(d.U32())
 		if d.Err() == nil && (nActive == 0 || nActive > nVaults) {
@@ -358,8 +336,8 @@ func (m *Machine) restorePayload(payload []byte) error {
 		return fmt.Errorf("cube: %d trailing bytes after checkpoint payload: %w", d.Len(), ckpt.ErrCorrupt)
 	}
 	if rs != nil {
-		if rs.mode != sim.CycleMode && rs.mode != sim.FunctionalMode {
-			return fmt.Errorf("cube: checkpoint run section has unresolved mode %d: %w", rs.mode, ckpt.ErrCorrupt)
+		if rs.opts.Mode != sim.CycleMode && rs.opts.Mode != sim.FunctionalMode {
+			return fmt.Errorf("cube: checkpoint run section has unknown mode %d: %w", rs.opts.Mode, ckpt.ErrCorrupt)
 		}
 		prev := [2]int{-1, -1}
 		for i, k := range rs.keys {
@@ -389,10 +367,6 @@ func (m *Machine) restorePayload(payload []byte) error {
 			i++
 		}
 	}
-	for mi, mesh := range m.meshes {
-		mesh.ApplyLinkCkpt(meshImgs[mi])
-	}
-	m.serdes.ApplyLinkCkpt(serdesImg)
 	pi := 0
 	for _, ps := range m.ports {
 		for _, p := range ps {
@@ -408,24 +382,26 @@ func (m *Machine) restorePayload(payload []byte) error {
 	return nil
 }
 
-// Resume is ResumeContext under a background context.
+// Resume is ResumeContext under a background context with zero
+// options: the checkpointed budget and mode govern the resumed run.
 func (m *Machine) Resume() (sim.Stats, error) {
-	return m.ResumeContext(context.Background())
+	return m.ResumeContext(context.Background(), sim.RunOptions{})
 }
 
 // ResumeContext continues the in-progress run a restored checkpoint
 // carried, from its barrier to completion, and returns the stats of the
 // WHOLE run (the uninterrupted run's stats, bit for bit — the baseline
-// snapshot travels in the checkpoint). By default the serialized budget
-// governs the resumed run, so budget exhaustion trips at the same
-// instruction it would have without the interruption; host-side knobs
-// the caller has armed on the machine (SetBudget) override it — the
-// checkpoint sink (which cannot be serialized) always, and non-zero
-// MaxCycles/MaxPhaseSteps/CheckpointEvery in place of the serialized
-// values, which is how a budget-aborted run is resumed with a looser
-// budget. Each checkpoint's resume is consumed by one call: a second
-// call returns ErrNoResume until another Restore.
-func (m *Machine) ResumeContext(ctx context.Context) (sim.Stats, error) {
+// snapshot travels in the checkpoint). The serialized budget and mode
+// govern the resumed run, so budget exhaustion trips at the same
+// instruction it would have without the interruption; opts overrides
+// them field by field — its checkpoint sink (which cannot be
+// serialized) always, and its non-zero MaxCycles, MaxPhaseSteps and
+// CheckpointEvery in place of the serialized values, which is how a
+// budget-aborted run is resumed with a looser budget. opts.Mode is
+// ignored: a run finishes in the mode it started in. Each checkpoint's
+// resume is consumed by one call: a second call returns ErrNoResume
+// until another Restore.
+func (m *Machine) ResumeContext(ctx context.Context, opts sim.RunOptions) (sim.Stats, error) {
 	rs := m.resume
 	if rs == nil {
 		return sim.Stats{}, ErrNoResume
@@ -435,20 +411,20 @@ func (m *Machine) ResumeContext(ctx context.Context) (sim.Stats, error) {
 	for _, k := range rs.keys {
 		active = append(active, m.Vaults[k[0]][k[1]])
 	}
-	budget := rs.budget
-	budget.CheckpointSink = m.budget.CheckpointSink
-	if m.budget.MaxCycles > 0 {
-		budget.MaxCycles = m.budget.MaxCycles
+	run := rs.opts
+	run.CheckpointSink = opts.CheckpointSink
+	if opts.MaxCycles > 0 {
+		run.MaxCycles = opts.MaxCycles
 	}
-	if m.budget.MaxPhaseSteps > 0 {
-		budget.MaxPhaseSteps = m.budget.MaxPhaseSteps
+	if opts.MaxPhaseSteps > 0 {
+		run.MaxPhaseSteps = opts.MaxPhaseSteps
 	}
-	if m.budget.CheckpointEvery > 0 {
-		budget.CheckpointEvery = m.budget.CheckpointEvery
+	if opts.CheckpointEvery > 0 {
+		run.CheckpointEvery = opts.CheckpointEvery
 	}
 	interrupt := makeInterrupt(ctx)
 	for i, v := range active {
-		v.BeginResumedRun(budget, rs.mode, interrupt, rs.elapsed[i], rs.funcIssued[i])
+		v.BeginResumedRun(run, interrupt, rs.elapsed[i], rs.funcIssued[i])
 	}
-	return m.finishRun(ctx, rs.keys, active, budget, rs.mode, rs.before)
+	return m.finishRun(ctx, rs.keys, active, run, rs.before)
 }

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -90,11 +91,11 @@ func TestResumeFromMidRunCheckpoint(t *testing.T) {
 	src := newTinyMachine(t)
 	brightenInputs(t, src)
 	var ck []byte
-	src.SetBudget(sim.RunOptions{CheckpointEvery: 1, CheckpointSink: func(data []byte) error {
+	opts := sim.RunOptions{CheckpointEvery: 1, CheckpointSink: func(data []byte) error {
 		ck = append(ck[:0], data...)
 		return nil
-	}})
-	if _, err := src.RunVault(0, 0, mustAssemble(t, brightenSrc)); err != nil {
+	}}
+	if _, err := src.RunVaultContext(context.Background(), 0, 0, mustAssemble(t, brightenSrc), opts); err != nil {
 		t.Fatal(err)
 	}
 	if ck == nil {

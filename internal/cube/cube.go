@@ -74,14 +74,6 @@ type Machine struct {
 	// IPIM_NO_FF=1 is set in the environment.
 	stepwise bool
 
-	// budget bounds every run until changed (zero = unlimited). Set via
-	// SetBudget.
-	budget sim.RunOptions
-
-	// mode is the machine's default execution mode (SetMode); a run's
-	// RunOptions.Mode overrides it. DefaultMode means CycleMode.
-	mode sim.Mode
-
 	// memoOff disables the block timing memoizer on every vault. Set
 	// via SetTimingMemo; forced on when IPIM_NO_MEMO=1 is set in the
 	// environment.
@@ -142,31 +134,6 @@ func New(cfg sim.Config) (*Machine, error) {
 	return m, nil
 }
 
-// SetMode selects the machine's default execution mode for subsequent
-// runs: CycleMode (the default; DefaultMode is equivalent) or
-// FunctionalMode (functional outputs only, no cycle accounting — see
-// sim.Mode). A per-run RunOptions.Mode installed via SetBudget
-// overrides it. Not safe to call during an active Run.
-func (m *Machine) SetMode(mode sim.Mode) { m.mode = mode }
-
-// Mode reports the machine's default execution mode.
-func (m *Machine) Mode() sim.Mode { return m.mode }
-
-// runMode resolves the mode one run executes under: the budget's
-// override if set, else the machine default.
-func (m *Machine) runMode() sim.Mode {
-	mode := m.mode
-	if m.budget.Mode != sim.DefaultMode {
-		mode = m.budget.Mode
-	}
-	if mode == sim.DefaultMode {
-		// Resolve eagerly: runs (and the checkpoints they serialize)
-		// always carry a concrete mode.
-		mode = sim.CycleMode
-	}
-	return mode
-}
-
 // SetTimingMemo enables (the default) or disables the block-level
 // timing memoizer on every vault; disabling also flushes every cached
 // block. Memoized and unmemoized cycle runs produce bit-identical
@@ -218,9 +185,6 @@ func (m *Machine) SetFastForward(on bool) {
 	}
 }
 
-// FastForward reports whether idle-cycle fast-forward is enabled.
-func (m *Machine) FastForward() bool { return !m.stepwise }
-
 // SetDRAMPolicy switches every per-PG memory controller to the given
 // row-buffer and scheduling policies. Policies steer request timing
 // only, never data (internal/dram is timing-only), so outputs are
@@ -258,23 +222,6 @@ func (m *Machine) FastForwardedCycles() int64 {
 	return ff
 }
 
-// NextEvent returns a lower bound on the next cycle at or after now at
-// which any vault's pending state can change on its own (the min of the
-// per-vault bounds; see Vault.NextEvent), or vault.NoEvent when every
-// vault is quiescent. Only meaningful between phases — during a phase
-// the vaults advance their own clocks concurrently.
-func (m *Machine) NextEvent(now int64) int64 {
-	best := vault.NoEvent
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			if t := v.NextEvent(now); t < best {
-				best = t
-			}
-		}
-	}
-	return best
-}
-
 // SetParallelism bounds the worker goroutines Run uses per barrier
 // phase: 0 (the default) means GOMAXPROCS, 1 forces the serial
 // schedule, n>1 caps the pool at n. Parallel and serial schedules
@@ -290,17 +237,6 @@ func (m *Machine) SetParallelism(n int) {
 
 // Parallelism reports the configured worker bound (0 = GOMAXPROCS).
 func (m *Machine) Parallelism() int { return m.parallelism }
-
-// SetBudget installs an execution budget applied by every subsequent
-// run (zero value = unlimited). Budget exhaustion aborts the run with
-// an error wrapping sim.ErrCycleBudget and resets the machine (see
-// Reset); the error point is deterministic — a pure function of the
-// budget and the programs, independent of the phase schedule or worker
-// count. Not safe to call during an active Run.
-func (m *Machine) SetBudget(b sim.RunOptions) { m.budget = b }
-
-// Budget reports the installed execution budget.
-func (m *Machine) Budget() sim.RunOptions { return m.budget }
 
 // SetFaultPlan attaches a fault-injection plan to every vault and every
 // per-source link shard (nil detaches). Decision sites are derived from
@@ -320,10 +256,6 @@ func (m *Machine) SetFaultPlan(p *fault.Plan) {
 			port.serdes.AttachFaults(p, fault.Site(fault.DomLink, c, vid, -1))
 		}
 	}
-	for mi, mesh := range m.meshes {
-		mesh.AttachFaults(p, fault.Site(fault.DomLink, -1, -1, mi))
-	}
-	m.serdes.AttachFaults(p, fault.Site(fault.DomLink, -1, -1, -1))
 }
 
 // phaseWorkers resolves the worker count for a phase over n active
@@ -437,26 +369,28 @@ func (m *Machine) barrierCost() int64 {
 // package comment). It returns aggregated statistics (Cycles = wall
 // clock of the slowest vault).
 //
-// Run is RunContext under a background context: any budget installed
-// with SetBudget still applies, and the result is bit-identical to a
-// RunContext whose context never expires.
+// Run is RunContext under a background context with zero options: an
+// unbudgeted cycle-mode run.
 func (m *Machine) Run(programs map[[2]int]*isa.Program) (sim.Stats, error) {
-	return m.RunContext(context.Background(), programs)
+	return m.RunContext(context.Background(), programs, sim.RunOptions{})
 }
 
-// RunContext is Run with cooperative cancellation. The context is
+// RunContext is Run with cooperative cancellation and the run options
+// in opts: execution mode, budgets and checkpointing. The context is
 // checked at every phase barrier and — through a per-vault hook polled
 // every vault.InterruptEvery issued instructions — inside phases, so
 // even a single never-syncing phase (a runaway backward branch) is
 // interruptible within microseconds of wall clock. On cancellation it
 // returns an error wrapping sim.ErrCancelled and the context's cause
 // (so errors.Is against context.DeadlineExceeded / context.Canceled
-// works too); on budget exhaustion (SetBudget), an error wrapping
-// sim.ErrCycleBudget. In both cases the machine has been Reset and is
-// immediately reusable. A RunContext whose context never expires is
-// bit-identical to Run — the hooks are pure control, touching no timed
-// state.
-func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Program) (sim.Stats, error) {
+// works too); on budget exhaustion (opts.MaxCycles or
+// opts.MaxPhaseSteps), an error wrapping sim.ErrCycleBudget, at a
+// deterministic point — a pure function of the budget and the
+// programs, independent of the phase schedule or worker count. In both
+// cases the machine has been Reset and is immediately reusable. A
+// RunContext whose context never expires is bit-identical to Run with
+// the same opts — the hooks are pure control, touching no timed state.
+func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Program, opts sim.RunOptions) (sim.Stats, error) {
 	// Fix the vault order up front: loading, stepping, error selection
 	// and stats folding all walk vaults in ascending (cube, vault)
 	// order, so nothing depends on Go's randomized map iteration.
@@ -490,11 +424,10 @@ func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Progr
 
 	// Arm run control and drive the phase loop to completion.
 	interrupt := makeInterrupt(ctx)
-	mode := m.runMode()
 	for _, v := range active {
-		v.BeginRun(m.budget, mode, interrupt)
+		v.BeginRun(opts, interrupt)
 	}
-	return m.finishRun(ctx, keys, active, m.budget, mode, before)
+	return m.finishRun(ctx, keys, active, opts, before)
 }
 
 // makeInterrupt builds the per-vault cancellation hook for a context.
@@ -534,12 +467,12 @@ func runProgress(active []*vault.Vault, functional bool) int64 {
 
 // finishRun drives an armed run (BeginRun or BeginResumedRun already
 // called on every active vault) phase by phase to completion, aligning
-// clocks at each barrier and taking periodic checkpoints there when the
-// budget arms a sink. It is the shared back half of RunContext and
+// clocks at each barrier and taking periodic checkpoints there when
+// opts arms a sink. It is the shared back half of RunContext and
 // ResumeContext; the run bookkeeping it stashes on the machine is what
 // a mid-run checkpoint serializes. On return the vaults are disarmed.
-func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.Vault, budget sim.RunOptions, mode sim.Mode, before sim.Stats) (sim.Stats, error) {
-	m.run = &liveRun{keys: keys, active: active, budget: budget, mode: mode, before: before}
+func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.Vault, opts sim.RunOptions, before sim.Stats) (sim.Stats, error) {
+	m.run = &liveRun{keys: keys, active: active, opts: opts, before: before}
 	defer func() {
 		m.run = nil
 		for _, v := range active {
@@ -547,17 +480,17 @@ func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.
 		}
 	}()
 
-	functional := mode == sim.FunctionalMode
+	functional := opts.Mode == sim.FunctionalMode
 	workers := m.phaseWorkers(len(active))
 	phased := make([]bool, len(active))
-	ckptOn := budget.CheckpointSink != nil && budget.CheckpointEvery > 0
+	ckptOn := opts.CheckpointSink != nil && opts.CheckpointEvery > 0
 	lastCkpt := runProgress(active, functional)
 	if ckptOn {
 		// Run-start checkpoint: programs are loaded, inputs staged and
 		// run control armed, but no phase has executed — the earliest
 		// point a crash-recovery journal can resume from, and the only
 		// checkpoint a single-phase (sync-free) program ever gets.
-		if err := budget.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
+		if err := opts.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
 			m.Reset()
 			return sim.Stats{}, fmt.Errorf("cube: checkpoint sink: %w", err)
 		}
@@ -620,9 +553,9 @@ func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.
 		// but never writes it, so a checkpointing run's stats are
 		// bit-identical to a non-checkpointing one.
 		if ckptOn {
-			if p := runProgress(active, functional); p-lastCkpt >= budget.CheckpointEvery {
+			if p := runProgress(active, functional); p-lastCkpt >= opts.CheckpointEvery {
 				lastCkpt = p
-				if err := budget.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
+				if err := opts.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
 					m.Reset()
 					return sim.Stats{}, fmt.Errorf("cube: checkpoint sink: %w", err)
 				}
@@ -698,7 +631,7 @@ func (m *Machine) runPhaseParallel(active []*vault.Vault, phased []bool, workers
 }
 
 // collectStats folds and sums the cumulative counters of the given
-// vaults plus the machine-global NoC/SERDES links, walking vaults and
+// vaults plus every port's NoC/SERDES link shards, walking vaults and
 // port shards in ascending (cube, vault) order so the fold is a fixed
 // reduction tree. Callers diff two collections to get per-run stats
 // (FoldDRAMStats is idempotent, so collecting twice is safe).
@@ -722,17 +655,6 @@ func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 			total.NoC.RetransmitFlits += p.serdes.Stats.RetransmitFlits
 		}
 	}
-	// Direct (unsharded) mesh traffic, if any future caller injects it.
-	for _, mesh := range m.meshes {
-		total.NoC.Packets += mesh.Stats.Packets
-		total.NoC.Flits += mesh.Stats.Flits
-		total.NoC.Hops += mesh.Stats.Hops
-		total.NoC.LinkFaults += mesh.Stats.LinkFaults
-		total.NoC.RetransmitFlits += mesh.Stats.RetransmitFlits
-	}
-	total.SerdesBeat += m.serdes.Stats.Flits
-	total.NoC.LinkFaults += m.serdes.Stats.LinkFaults
-	total.NoC.RetransmitFlits += m.serdes.Stats.RetransmitFlits
 	return total
 }
 
@@ -746,9 +668,9 @@ func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 // Cumulative state deliberately survives: Stats counters (pools diff
 // snapshots around each run), attached fault plans and their per-site
 // decision streams, SRAM/DRAM data contents, and configuration
-// (parallelism, budget). RunContext calls Reset automatically when a
-// run is cancelled or exhausts its budget; worker pools call it when
-// recovering a machine from a panic.
+// (parallelism, fast-forward, timing memo, DRAM policies). RunContext
+// calls Reset automatically when a run is cancelled or exhausts its
+// budget; worker pools call it when recovering a machine from a panic.
 func (m *Machine) Reset() {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
@@ -763,37 +685,33 @@ func (m *Machine) Reset() {
 			p.serdes.ResetTiming()
 		}
 	}
-	for _, mesh := range m.meshes {
-		mesh.ResetTiming()
-	}
-	m.serdes.ResetTiming()
 }
 
 // RunSame loads the same program into every vault and runs the machine.
 func (m *Machine) RunSame(p *isa.Program) (sim.Stats, error) {
-	return m.RunSameContext(context.Background(), p)
+	return m.RunSameContext(context.Background(), p, sim.RunOptions{})
 }
 
-// RunSameContext is RunSame with the cancellation and budget semantics
-// of RunContext.
-func (m *Machine) RunSameContext(ctx context.Context, p *isa.Program) (sim.Stats, error) {
+// RunSameContext is RunSame with the cancellation and run-option
+// semantics of RunContext.
+func (m *Machine) RunSameContext(ctx context.Context, p *isa.Program, opts sim.RunOptions) (sim.Stats, error) {
 	programs := map[[2]int]*isa.Program{}
 	for c := range m.Vaults {
 		for vid := range m.Vaults[c] {
 			programs[[2]int{c, vid}] = p
 		}
 	}
-	return m.RunContext(ctx, programs)
+	return m.RunContext(ctx, programs, opts)
 }
 
 // RunVault runs a program on a single vault (the representative-vault
 // bench mode; see DESIGN.md §2).
 func (m *Machine) RunVault(cubeID, vaultID int, p *isa.Program) (sim.Stats, error) {
-	return m.RunVaultContext(context.Background(), cubeID, vaultID, p)
+	return m.RunVaultContext(context.Background(), cubeID, vaultID, p, sim.RunOptions{})
 }
 
-// RunVaultContext is RunVault with the cancellation and budget
+// RunVaultContext is RunVault with the cancellation and run-option
 // semantics of RunContext.
-func (m *Machine) RunVaultContext(ctx context.Context, cubeID, vaultID int, p *isa.Program) (sim.Stats, error) {
-	return m.RunContext(ctx, map[[2]int]*isa.Program{{cubeID, vaultID}: p})
+func (m *Machine) RunVaultContext(ctx context.Context, cubeID, vaultID int, p *isa.Program, opts sim.RunOptions) (sim.Stats, error) {
+	return m.RunContext(ctx, map[[2]int]*isa.Program{{cubeID, vaultID}: p}, opts)
 }

@@ -9,6 +9,7 @@ package cube
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -25,7 +26,7 @@ func ckptSeeds(t testing.TB) (idle, midrun []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetBudget(sim.RunOptions{
+	opts := sim.RunOptions{
 		CheckpointEvery: 1,
 		CheckpointSink: func(data []byte) error {
 			if midrun == nil {
@@ -33,8 +34,8 @@ func ckptSeeds(t testing.TB) (idle, midrun []byte) {
 			}
 			return nil
 		},
-	})
-	if _, err := m.RunSame(mustAssemble(t, brightenSrc)); err != nil {
+	}
+	if _, err := m.RunSameContext(context.Background(), mustAssemble(t, brightenSrc), opts); err != nil {
 		t.Fatal(err)
 	}
 	if midrun == nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"ipim/internal/compiler"
@@ -61,14 +62,11 @@ func (c *Context) runDNN(wl workloads.DNNWorkload, multiArray bool) (*dnnRun, er
 		return nil, err
 	}
 	m.SetFaultPlan(c.Faults)
-	m.SetMode(c.Mode)
-	if c.MaxCycles > 0 {
-		m.SetBudget(sim.RunOptions{MaxCycles: c.MaxCycles})
-	}
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		return nil, err
 	}
-	stats, err := compiler.Execute(m, art)
+	stats, err := compiler.ExecuteContext(context.Background(), m, art,
+		sim.RunOptions{Mode: c.Mode, MaxCycles: c.MaxCycles})
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %s: %w", wl.Name, err)
 	}

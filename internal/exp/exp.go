@@ -8,6 +8,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -98,12 +99,12 @@ type Context struct {
 	// ignores this.
 	Faults *fault.Plan
 
-	// MaxCycles installs a hard per-run cycle budget on every simulated
-	// machine (0 = unlimited): runaway experiments fail with
+	// MaxCycles is a hard cycle budget passed to every simulated run
+	// (0 = unlimited): runaway experiments fail with
 	// sim.ErrCycleBudget instead of hanging the suite.
 	MaxCycles int64
 
-	// Mode selects the execution mode for every simulated machine
+	// Mode selects the execution mode for every simulated run
 	// (default: cycle-accurate). FunctionalMode turns the suite into a
 	// fast correctness pass: pixels are bit-identical but every
 	// cycle-derived column reads zero.
@@ -167,14 +168,11 @@ func (c *Context) run(wl workloads.Workload, opts compiler.Options, cfg sim.Conf
 		return nil, err
 	}
 	m.SetFaultPlan(c.Faults)
-	m.SetMode(c.Mode)
-	if c.MaxCycles > 0 {
-		m.SetBudget(sim.RunOptions{MaxCycles: c.MaxCycles})
-	}
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		return nil, err
 	}
-	stats, err := compiler.Execute(m, art)
+	stats, err := compiler.ExecuteContext(context.Background(), m, art,
+		sim.RunOptions{Mode: c.Mode, MaxCycles: c.MaxCycles})
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %s: %w", wl.Name, err)
 	}

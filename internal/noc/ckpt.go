@@ -1,6 +1,6 @@
 package noc
 
-// Checkpoint codec for link state. A mesh's timing state is entirely
+// Checkpoint codec for link state. A shard's timing state is entirely
 // its link-occupancy timeline (linkFree), which is kept in absolute
 // cycles like the vault clocks, so it serializes verbatim; alongside it
 // go the shard's traffic counters and — when a fault plan is attached —
@@ -8,13 +8,11 @@ package noc
 // so the resumed run rolls exactly the faults the uninterrupted run
 // would have rolled.
 //
-// The same image type serves both Mesh (its own Send-path link state)
-// and LinkState (per-source shards): they hold identical state, only
-// ownership differs. Decode validates against the expected node count
-// and never touches live state; Apply is infallible on a validated
-// image. The fault-plan attachment itself is not serialized here — the
-// machine layer re-attaches plans before applying images (AttachFaults
-// zeroes the stream position; Apply then restores it).
+// Decode validates against the expected node count and never touches
+// live state; Apply is infallible on a validated image. The fault-plan
+// attachment itself is not serialized here — the machine layer
+// re-attaches plans before applying images (AttachFaults zeroes the
+// stream position; Apply then restores it).
 
 import (
 	"fmt"
@@ -22,44 +20,33 @@ import (
 	"ipim/internal/ckpt"
 )
 
-// LinkImage is a decoded, validated link-state checkpoint for one Mesh
-// or LinkState. Produced only by DecodeLinkCkpt.
+// LinkImage is a decoded, validated checkpoint of one LinkState.
+// Produced only by DecodeLinkCkpt.
 type LinkImage struct {
 	linkFree []int64 // flattened [node][dir], absolute cycles
 	faultN   uint64
 	stats    Stats
 }
 
-// encodeLinks is the shared encoder behind the Mesh and LinkState
-// EncodeCkpt methods.
-func encodeLinks(e *ckpt.Enc, linkFree [][numDirs]int64, fs *faultState, stats Stats) {
-	e.U32(uint32(len(linkFree)))
-	for i := range linkFree {
+// EncodeCkpt appends the shard's checkpoint state to e.
+func (st *LinkState) EncodeCkpt(e *ckpt.Enc) {
+	e.U32(uint32(len(st.linkFree)))
+	for i := range st.linkFree {
 		for d := 0; d < int(numDirs); d++ {
-			e.I64(linkFree[i][d])
+			e.I64(st.linkFree[i][d])
 		}
 	}
 	var n uint64
-	if fs != nil {
-		n = fs.n
+	if st.faults != nil {
+		n = st.faults.n
 	}
 	e.U64(n)
-	e.I64(stats.Packets)
-	e.I64(stats.Flits)
-	e.I64(stats.Hops)
-	e.I64(stats.MaxLatency)
-	e.I64(stats.LinkFaults)
-	e.I64(stats.RetransmitFlits)
-}
-
-// EncodeCkpt appends the shard's checkpoint state to e.
-func (st *LinkState) EncodeCkpt(e *ckpt.Enc) {
-	encodeLinks(e, st.linkFree, st.faults, st.Stats)
-}
-
-// EncodeCkpt appends the mesh's own link state (the one behind Send) to e.
-func (m *Mesh) EncodeCkpt(e *ckpt.Enc) {
-	encodeLinks(e, m.linkFree, m.faults, m.Stats)
+	e.I64(st.Stats.Packets)
+	e.I64(st.Stats.Flits)
+	e.I64(st.Stats.Hops)
+	e.I64(st.Stats.MaxLatency)
+	e.I64(st.Stats.LinkFaults)
+	e.I64(st.Stats.RetransmitFlits)
 }
 
 // DecodeLinkCkpt parses one link-state checkpoint from d and validates
@@ -89,30 +76,19 @@ func DecodeLinkCkpt(d *ckpt.Dec, nodes int) (*LinkImage, error) {
 	return img, nil
 }
 
-// applyLinks is the shared applier behind the Mesh and LinkState
-// ApplyLinkCkpt methods. The decision-stream position is restored only
-// when a fault state is attached (the machine layer re-attaches plans
-// before applying, so a faulted checkpoint always finds one).
-func applyLinks(linkFree [][numDirs]int64, fs *faultState, stats *Stats, img *LinkImage) {
-	for i := range linkFree {
+// ApplyLinkCkpt rewrites the shard's state from a validated image.
+// Never fails: all validation happened in DecodeLinkCkpt. The
+// decision-stream position is restored only when a fault state is
+// attached (the machine layer re-attaches plans before applying, so a
+// faulted checkpoint always finds one).
+func (st *LinkState) ApplyLinkCkpt(img *LinkImage) {
+	for i := range st.linkFree {
 		for d := 0; d < int(numDirs); d++ {
-			linkFree[i][d] = img.linkFree[i*int(numDirs)+d]
+			st.linkFree[i][d] = img.linkFree[i*int(numDirs)+d]
 		}
 	}
-	if fs != nil {
-		fs.n = img.faultN
+	if st.faults != nil {
+		st.faults.n = img.faultN
 	}
-	*stats = img.stats
-}
-
-// ApplyLinkCkpt rewrites the shard's state from a validated image.
-// Never fails: all validation happened in DecodeLinkCkpt.
-func (st *LinkState) ApplyLinkCkpt(img *LinkImage) {
-	applyLinks(st.linkFree, st.faults, &st.Stats, img)
-}
-
-// ApplyLinkCkpt rewrites the mesh's own link state from a validated
-// image. Never fails: all validation happened in DecodeLinkCkpt.
-func (m *Mesh) ApplyLinkCkpt(img *LinkImage) {
-	applyLinks(m.linkFree, m.faults, &m.Stats, img)
+	st.Stats = img.stats
 }

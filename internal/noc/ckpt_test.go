@@ -8,35 +8,36 @@ import (
 	"ipim/internal/fault"
 )
 
-func encodeMesh(m *Mesh) []byte {
+func encodeLinks(st *LinkState) []byte {
 	var e ckpt.Enc
-	m.EncodeCkpt(&e)
+	st.EncodeCkpt(&e)
 	return e.Bytes()
 }
 
 func TestMeshCkptRoundTrip(t *testing.T) {
-	src := NewMesh(4, 4, 1, 1, 16)
-	src.Send(0, src.Node(0, 0), src.Node(3, 3), 128)
-	src.Send(7, src.Node(1, 2), src.Node(2, 0), 64)
-	payload := encodeMesh(src)
+	m := NewMesh(4, 4, 1, 1, 16)
+	src := m.NewLinkState()
+	m.SendOn(src, 0, m.Node(0, 0), m.Node(3, 3), 128)
+	m.SendOn(src, 7, m.Node(1, 2), m.Node(2, 0), 64)
+	payload := encodeLinks(src)
 
 	img, err := DecodeLinkCkpt(ckpt.NewDec(payload), 16)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	dst := NewMesh(4, 4, 1, 1, 16)
+	dst := m.NewLinkState()
 	dst.ApplyLinkCkpt(img)
 
 	if dst.Stats != src.Stats {
 		t.Errorf("restored Stats = %+v, want %+v", dst.Stats, src.Stats)
 	}
 	// Re-encode must be byte-identical, and an identical future send
-	// must observe identical link occupancy on both meshes.
-	if string(encodeMesh(dst)) != string(payload) {
+	// must observe identical link occupancy on both shards.
+	if string(encodeLinks(dst)) != string(payload) {
 		t.Error("re-encoded checkpoint differs from the original")
 	}
-	a := src.Send(9, src.Node(0, 0), src.Node(3, 3), 256)
-	b := dst.Send(9, dst.Node(0, 0), dst.Node(3, 3), 256)
+	a := m.SendOn(src, 9, m.Node(0, 0), m.Node(3, 3), 256)
+	b := m.SendOn(dst, 9, m.Node(0, 0), m.Node(3, 3), 256)
 	if a != b {
 		t.Errorf("post-restore send finished at %d on the original, %d on the restored", a, b)
 	}
@@ -78,7 +79,7 @@ func TestLinkStateCkptRoundTripWithFaults(t *testing.T) {
 
 func TestLinkCkptRejections(t *testing.T) {
 	m := NewMesh(4, 4, 1, 1, 16)
-	payload := encodeMesh(m)
+	payload := encodeLinks(m.NewLinkState())
 	if _, err := DecodeLinkCkpt(ckpt.NewDec(payload), 4); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("node-count mismatch: err = %v, want ErrCorrupt", err)
 	}

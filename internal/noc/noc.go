@@ -18,6 +18,8 @@ import (
 // Direction indexes a router's four mesh output links.
 type Direction int
 
+// The four output links of a mesh router. X-Y routing moves East or
+// West (+x / -x) first, then South or North (+y / -y).
 const (
 	East Direction = iota
 	West
@@ -29,9 +31,14 @@ const (
 // Stats aggregates network activity for energy accounting and analysis.
 // The fault counters are nonzero only under an attached fault.Plan.
 type Stats struct {
-	Packets    int64
-	Flits      int64 // link traversals x flit (for per-hop energy)
-	Hops       int64
+	// Packets counts injected packets.
+	Packets int64
+	// Flits counts link traversals x flit (for per-hop energy).
+	Flits int64
+	// Hops counts link traversals, one per packet per hop.
+	Hops int64
+	// MaxLatency is the longest injection-to-delivery time of any
+	// packet, in cycles.
 	MaxLatency int64
 	// LinkFaults counts link traversals on which an injected fault
 	// forced the packet's flits to be retransmitted.
@@ -51,15 +58,15 @@ type faultState struct {
 	n    uint64
 }
 
-// Mesh is a W×H 2D mesh. Node i sits at (i%W, i/W).
+// Mesh is a W×H 2D mesh topology. Node i sits at (i%W, i/W).
 //
-// Topology and latency parameters are immutable after NewMesh, so a
-// Mesh may be consulted (Route, HopCount) from many goroutines. Link
-// occupancy and traffic counters are mutable: they live either in the
-// mesh's own default LinkState (used by Send, single-caller only) or in
-// caller-private LinkStates (NewLinkState/SendOn), which let concurrent
-// traffic sources each model their own contention deterministically.
+// A Mesh is immutable after NewMesh, so it may be consulted (Route,
+// HopCount, SendOn) from many goroutines. Link occupancy and traffic
+// counters live in caller-private LinkStates (NewLinkState), which let
+// concurrent traffic sources each model their own contention
+// deterministically.
 type Mesh struct {
+	// W and H are the mesh width and height in nodes.
 	W, H int
 
 	// HopLatNum/HopLatDen express per-hop latency in cycles as a
@@ -69,14 +76,6 @@ type Mesh struct {
 
 	// LinkBytesPerCycle is each link's serialization bandwidth.
 	LinkBytesPerCycle int
-
-	// linkFree[node][dir] is the cycle the output link becomes free
-	// (the mesh's own link state, backing Send for single-caller uses).
-	linkFree [][numDirs]int64
-
-	faults *faultState
-
-	Stats Stats
 }
 
 // LinkState is one traffic source's private view of the mesh: its link
@@ -93,6 +92,7 @@ type LinkState struct {
 
 	faults *faultState
 
+	// Stats is this source's share of the mesh's traffic counters.
 	Stats Stats
 }
 
@@ -101,12 +101,6 @@ type LinkState struct {
 // from the source's coordinates. A nil plan detaches.
 func (st *LinkState) AttachFaults(p *fault.Plan, site uint64) {
 	st.faults = newFaultState(p, site)
-}
-
-// AttachFaults arms link-fault injection for the mesh's own Send path
-// (single-caller uses). A nil plan detaches.
-func (m *Mesh) AttachFaults(p *fault.Plan, site uint64) {
-	m.faults = newFaultState(p, site)
 }
 
 func newFaultState(p *fault.Plan, site uint64) *faultState {
@@ -126,7 +120,6 @@ func NewMesh(w, h int, hopLatNum, hopLatDen int64, linkBytesPerCycle int) *Mesh 
 		W: w, H: h,
 		HopLatNum: hopLatNum, HopLatDen: hopLatDen,
 		LinkBytesPerCycle: linkBytesPerCycle,
-		linkFree:          make([][numDirs]int64, w*h),
 	}
 }
 
@@ -206,75 +199,23 @@ func (st *LinkState) ResetTiming() {
 	}
 }
 
-// NoEvent is the NextEvent sentinel for a quiescent timeline: every
-// link is already free at the queried time.
-const NoEvent int64 = int64(^uint64(0) >> 1)
-
-// NextEvent returns the earliest cycle strictly after now at which one
-// of the shard's held links frees up, or NoEvent when none is held past
-// now. The interconnect is transaction-based — each send computes its
-// delivery time immediately, so a busy link never requires stepping the
-// clock to make progress — but the bound completes the fast-forward
-// event contract (see docs/ARCHITECTURE.md): it is when link occupancy
-// stops constraining the shard's next send.
-func (st *LinkState) NextEvent(now int64) int64 {
-	return nextFree(st.linkFree, now)
-}
-
-// NextEvent is LinkState.NextEvent for the mesh's own link state (the
-// one behind Send).
-func (m *Mesh) NextEvent(now int64) int64 {
-	return nextFree(m.linkFree, now)
-}
-
-func nextFree(linkFree [][numDirs]int64, now int64) int64 {
-	best := NoEvent
-	for i := range linkFree {
-		for d := 0; d < int(numDirs); d++ {
-			if t := linkFree[i][d]; t > now && t < best {
-				best = t
-			}
-		}
-	}
-	return best
-}
-
-// ResetTiming rewinds the mesh's own link-occupancy timeline (the one
-// behind Send) to zero, preserving counters and fault state.
-func (m *Mesh) ResetTiming() {
-	for i := range m.linkFree {
-		m.linkFree[i] = [numDirs]int64{}
-	}
-}
-
-// Send injects a packet of size bytes at time now and returns its
-// delivery time at dst, using the mesh's own link state and counters.
-// All Send callers share one contention timeline, so Send must not be
-// called concurrently; concurrent sources use SendOn with private
-// LinkStates instead.
-func (m *Mesh) Send(now int64, src, dst, bytes int) int64 {
-	return m.send(m.linkFree, &m.Stats, m.faults, now, src, dst, bytes)
-}
-
-// SendOn is Send against a caller-private LinkState: contention is
-// modeled only against the caller's own earlier sends, and counters
-// accumulate into the shard. Distinct LinkStates may be driven from
-// distinct goroutines concurrently.
+// SendOn injects a packet of size bytes at time now over the caller's
+// LinkState and returns its delivery time at dst. Contention is modeled
+// only against the caller's own earlier sends, and counters accumulate
+// into the shard. Distinct LinkStates may be driven from distinct
+// goroutines concurrently.
+//
+// Each link on the X-Y route serializes the packet's flits; per-hop
+// latency accumulates as a rational. With a fault state attached, each
+// link traversal may be faulted: the packet's flits re-serialize on
+// that link and the retry penalty is added, delaying the tail and
+// holding the link longer. With a zero link-fault rate the timing
+// arithmetic is untouched (strict no-op).
 func (m *Mesh) SendOn(st *LinkState, now int64, src, dst, bytes int) int64 {
-	return m.send(st.linkFree, &st.Stats, st.faults, now, src, dst, bytes)
-}
-
-// send models one packet over the given link-occupancy state. Each link
-// on the X-Y route serializes the packet's flits; per-hop latency
-// accumulates as a rational. With a fault state attached, each link
-// traversal may be faulted: the packet's flits re-serialize on that
-// link and the retry penalty is added, delaying the tail and holding
-// the link longer. With a zero link-fault rate the timing arithmetic is
-// untouched (strict no-op).
-func (m *Mesh) send(linkFree [][numDirs]int64, stats *Stats, fs *faultState, now int64, src, dst, bytes int) int64 {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("noc: packet of %d bytes", bytes))
 	}
+	fs := st.faults
 	if fs != nil && fs.plan.LinkFaultRate <= 0 {
 		fs = nil // zero-rate plan: do not consume traversal events
 	}
@@ -287,7 +228,7 @@ func (m *Mesh) send(linkFree [][numDirs]int64, stats *Stats, fs *faultState, now
 	head := now
 	tailHold := flits
 	for _, hop := range route {
-		if free := linkFree[hop.Node][hop.Dir]; free > head {
+		if free := st.linkFree[hop.Node][hop.Dir]; free > head {
 			head = free
 		}
 		hold := flits
@@ -296,25 +237,25 @@ func (m *Mesh) send(linkFree [][numDirs]int64, stats *Stats, fs *faultState, now
 			fs.n++
 			if fs.plan.LinkFault(fs.site, n) {
 				hold += flits + fs.plan.LinkRetryPenalty
-				stats.LinkFaults++
-				stats.RetransmitFlits += flits
+				st.Stats.LinkFaults++
+				st.Stats.RetransmitFlits += flits
 			}
 		}
-		linkFree[hop.Node][hop.Dir] = head + hold
+		st.linkFree[hop.Node][hop.Dir] = head + hold
 		if hold > tailHold {
 			tailHold = hold
 		}
-		stats.Flits += flits
+		st.Stats.Flits += flits
 	}
 	hops := int64(len(route))
 	t := now
 	if hops > 0 {
 		t = head + tailHold - 1 + ceilDiv(hops*m.HopLatNum, m.HopLatDen)
 	}
-	stats.Packets++
-	stats.Hops += hops
-	if lat := t - now; lat > stats.MaxLatency {
-		stats.MaxLatency = lat
+	st.Stats.Packets++
+	st.Stats.Hops += hops
+	if lat := t - now; lat > st.Stats.MaxLatency {
+		st.Stats.MaxLatency = lat
 	}
 	return t
 }

@@ -40,16 +40,15 @@ func TestRouteEmptyForSelf(t *testing.T) {
 	if len(m.Route(5, 5)) != 0 {
 		t.Fatal("self route not empty")
 	}
-	if got := m.Send(100, 5, 5, 64); got != 100 {
+	if got := m.SendOn(m.NewLinkState(), 100, 5, 5, 64); got != 100 {
 		t.Fatalf("self send latency = %d, want 0", got-100)
 	}
 }
 
 func TestSendLatencyScalesWithDistance(t *testing.T) {
 	m := NewMesh(4, 4, 1, 1, 16)
-	near := m.Send(0, m.Node(0, 0), m.Node(1, 0), 16)
-	m2 := NewMesh(4, 4, 1, 1, 16)
-	far := m2.Send(0, m2.Node(0, 0), m2.Node(3, 3), 16)
+	near := m.SendOn(m.NewLinkState(), 0, m.Node(0, 0), m.Node(1, 0), 16)
+	far := m.SendOn(m.NewLinkState(), 0, m.Node(0, 0), m.Node(3, 3), 16)
 	if far <= near {
 		t.Fatalf("far latency %d <= near latency %d", far, near)
 	}
@@ -64,10 +63,11 @@ func TestSendLatencyScalesWithDistance(t *testing.T) {
 
 func TestLinkContentionSerializes(t *testing.T) {
 	m := NewMesh(4, 1, 1, 1, 16)
+	st := m.NewLinkState()
 	// Two packets over the same link at the same time: the second is
 	// delayed by the first's serialization.
-	a := m.Send(0, 0, 1, 64) // 4 flits
-	b := m.Send(0, 0, 1, 64)
+	a := m.SendOn(st, 0, 0, 1, 64) // 4 flits
+	b := m.SendOn(st, 0, 0, 1, 64)
 	if b <= a {
 		t.Fatalf("contended packet not delayed: a=%d b=%d", a, b)
 	}
@@ -78,8 +78,9 @@ func TestLinkContentionSerializes(t *testing.T) {
 
 func TestDisjointLinksDoNotContend(t *testing.T) {
 	m := NewMesh(4, 1, 1, 1, 16)
-	a := m.Send(0, 0, 1, 64)
-	c := m.Send(0, 2, 3, 64) // different link entirely
+	st := m.NewLinkState()
+	a := m.SendOn(st, 0, 0, 1, 64)
+	c := m.SendOn(st, 0, 2, 3, 64) // different link entirely
 	if c != a {
 		t.Fatalf("disjoint transfers interfered: %d vs %d", a, c)
 	}
@@ -89,7 +90,7 @@ func TestFractionalHopLatency(t *testing.T) {
 	// SERDES hop = 0.08 ns => num=8, den=100. 13 hops should cost
 	// ceil(13*8/100) = 2 extra cycles (on a 14x1 mesh wrap-free path).
 	m := NewMesh(14, 1, 8, 100, 16)
-	got := m.Send(0, 0, 13, 16)
+	got := m.SendOn(m.NewLinkState(), 0, 0, 13, 16)
 	// 13 hops, 1 flit: head propagation ceil(13*8/100) = 2 cycles.
 	if got != 2 {
 		t.Fatalf("fractional hop latency: got %d, want 2", got)
@@ -98,18 +99,19 @@ func TestFractionalHopLatency(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	m := NewMesh(4, 4, 1, 1, 16)
-	m.Send(0, 0, 3, 32)
-	m.Send(0, 0, 3, 32)
-	if m.Stats.Packets != 2 {
-		t.Fatalf("packets = %d", m.Stats.Packets)
+	st := m.NewLinkState()
+	m.SendOn(st, 0, 0, 3, 32)
+	m.SendOn(st, 0, 0, 3, 32)
+	if st.Stats.Packets != 2 {
+		t.Fatalf("packets = %d", st.Stats.Packets)
 	}
-	if m.Stats.Hops != 6 {
-		t.Fatalf("hops = %d, want 6", m.Stats.Hops)
+	if st.Stats.Hops != 6 {
+		t.Fatalf("hops = %d, want 6", st.Stats.Hops)
 	}
-	if m.Stats.Flits != 12 { // 2 flits x 3 hops x 2 packets
-		t.Fatalf("flits = %d, want 12", m.Stats.Flits)
+	if st.Stats.Flits != 12 { // 2 flits x 3 hops x 2 packets
+		t.Fatalf("flits = %d, want 12", st.Stats.Flits)
 	}
-	if m.Stats.MaxLatency <= 0 {
+	if st.Stats.MaxLatency <= 0 {
 		t.Fatal("max latency not tracked")
 	}
 }
@@ -120,7 +122,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 		"bad width":  func() { NewMesh(4, 4, 1, 1, 0) },
 		"bad den":    func() { NewMesh(4, 4, 1, 0, 16) },
 		"bad route":  func() { NewMesh(2, 2, 1, 1, 16).Route(0, 9) },
-		"zero bytes": func() { NewMesh(2, 2, 1, 1, 16).Send(0, 0, 1, 0) },
+		"zero bytes": func() { m := NewMesh(2, 2, 1, 1, 16); m.SendOn(m.NewLinkState(), 0, 0, 1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -140,12 +142,13 @@ func TestDeliveryInvariantsQuick(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	f := func() bool {
 		m := NewMesh(4, 4, 1, 1, 16)
+		st := m.NewLinkState()
 		now := int64(0)
 		for i := 0; i < 50; i++ {
 			src := rnd.Intn(16)
 			dst := rnd.Intn(16)
 			bytes := 16 * (1 + rnd.Intn(8))
-			arr := m.Send(now, src, dst, bytes)
+			arr := m.SendOn(st, now, src, dst, bytes)
 			if arr < now {
 				t.Logf("delivered before injection: %d < %d", arr, now)
 				return false

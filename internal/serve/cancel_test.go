@@ -193,7 +193,7 @@ func TestRunningJobDeadlineFreesWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	err := p.submit(ctx, func(ctx context.Context, m *ipim.Machine) error {
-		_, err := m.RunSameContext(ctx, prog)
+		_, err := m.RunSameContext(ctx, prog, ipim.RunOptions{})
 		return err
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -216,6 +216,10 @@ func TestProcessBadRequests(t *testing.T) {
 			ppmBody(t, 32, 16), http.StatusRequestEntityTooLarge},
 		{"incompilable size", http.MethodPost, "/v1/process?workload=Brighten",
 			pgmBodyAt(t, 12, 8), http.StatusBadRequest},
+		{"simb body too large", http.MethodPost, "/v1/simb",
+			bytes.Repeat([]byte("sync\n"), 1<<9), http.StatusRequestEntityTooLarge},
+		{"stream body too large", http.MethodPost, "/v1/stream?workload=Brighten",
+			bytes.Repeat(pgm, 3), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -536,14 +536,8 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 
@@ -850,9 +844,8 @@ func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	prog, err := ipim.Assemble(string(body))
@@ -869,10 +862,7 @@ func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
 
 	var stats ipim.Stats
 	err = s.pool.submit(ctx, func(ctx context.Context, m *ipim.Machine) error {
-		prev := m.Budget()
-		m.SetBudget(budget)
-		defer m.SetBudget(prev)
-		st, err := m.RunSameContext(ctx, prog)
+		st, err := m.RunSameContext(ctx, prog, budget)
 		if err != nil {
 			return err
 		}
@@ -894,6 +884,23 @@ func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
 		"ipc":       stats.IPC(),
 		"energy_pj": energyJ * 1e12,
 	})
+}
+
+// readBody reads the request body under the MaxBodyBytes cap. On
+// failure it writes the error response — 413 for an oversized body, 400
+// otherwise — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 // requestTimeout resolves the request deadline from the timeout query
@@ -942,7 +949,7 @@ func requestMode(q url.Values) (ipim.Mode, error) {
 	case "functional":
 		return ipim.FunctionalMode, nil
 	default:
-		return ipim.DefaultMode, fmt.Errorf("bad mode %q (want functional or cycle)", mq)
+		return ipim.CycleMode, fmt.Errorf("bad mode %q (want functional or cycle)", mq)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -105,14 +104,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	rawFrames, imgW, imgH, err := pixel.SplitPGMFrames(body, s.cfg.StreamMaxFrames)

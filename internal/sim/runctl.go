@@ -11,14 +11,11 @@ import "errors"
 type Mode uint8
 
 const (
-	// DefaultMode defers to the machine's configured mode (SetMode);
-	// a machine whose mode was never set runs cycle-accurate.
-	DefaultMode Mode = iota
-
 	// CycleMode is the full timing simulation: every instruction goes
 	// through hazard checks, DRAM scheduling, TSV serialization and the
-	// NoC, producing complete sim.Stats.
-	CycleMode
+	// NoC, producing complete sim.Stats. It is the zero value, so zero
+	// RunOptions run cycle-accurate.
+	CycleMode Mode = iota
 
 	// FunctionalMode executes instructions functionally only: register,
 	// scratchpad, bank and pixel outputs are bit-identical to CycleMode,
@@ -31,16 +28,12 @@ const (
 )
 
 // String returns the mode's short name as used by CLI flags and the
-// serve API ("cycle", "functional"; DefaultMode prints "default").
+// serve API ("cycle", "functional").
 func (m Mode) String() string {
-	switch m {
-	case CycleMode:
-		return "cycle"
-	case FunctionalMode:
+	if m == FunctionalMode {
 		return "functional"
-	default:
-		return "default"
 	}
+	return "cycle"
 }
 
 // RunOptions bounds one machine run. The zero value means unlimited:
@@ -67,8 +60,8 @@ type RunOptions struct {
 	// cycles but unbounded in instructions.
 	MaxPhaseSteps int64
 
-	// Mode overrides the machine's execution mode for runs under this
-	// options value (DefaultMode = no override; see sim.Mode).
+	// Mode selects how the run executes (CycleMode, the zero value, or
+	// FunctionalMode; see sim.Mode).
 	Mode Mode
 
 	// CheckpointEvery asks the run loop to serialize the machine at the

@@ -281,8 +281,8 @@ func (v *Vault) FuncIssued() int64 { return v.funcIssued }
 // BeginRun, then the budget origin is moved back by elapsed cycles (and
 // the functional issue counter restored), so budgets measure from the
 // original run's start rather than the resume point.
-func (v *Vault) BeginResumedRun(budget sim.RunOptions, mode sim.Mode, interrupt func() error, elapsed, funcIssued int64) {
-	v.BeginRun(budget, mode, interrupt)
+func (v *Vault) BeginResumedRun(opts sim.RunOptions, interrupt func() error, elapsed, funcIssued int64) {
+	v.BeginRun(opts, interrupt)
 	v.runStart = v.now - elapsed
 	v.funcIssued = funcIssued
 }

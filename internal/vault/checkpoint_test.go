@@ -100,7 +100,7 @@ func TestBeginResumedRunMovesBudgetOrigin(t *testing.T) {
 	cfg := sim.TestTiny()
 	v := runSrc(t, cfg, ckptSrc)
 	elapsed, funcIssued := v.Now()/2, int64(17)
-	v.BeginResumedRun(sim.RunOptions{MaxCycles: 1 << 40}, sim.CycleMode, nil, elapsed, funcIssued)
+	v.BeginResumedRun(sim.RunOptions{MaxCycles: 1 << 40}, nil, elapsed, funcIssued)
 	if got := v.RunStartDelta(); got != elapsed {
 		t.Errorf("RunStartDelta = %d, want %d", got, elapsed)
 	}

@@ -140,7 +140,7 @@ func runVaultMode(t *testing.T, cfg *sim.Config, p *isa.Program, mode sim.Mode) 
 	if err := v.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	v.BeginRun(sim.RunOptions{}, mode, nil)
+	v.BeginRun(sim.RunOptions{Mode: mode}, nil)
 	defer v.EndRun()
 	for {
 		done, err := v.RunPhase()
@@ -335,7 +335,7 @@ func TestFunctionalErrorParity(t *testing.T) {
 				if err := v.Load(p); err != nil {
 					t.Fatal(err)
 				}
-				v.BeginRun(sim.RunOptions{}, mode, nil)
+				v.BeginRun(sim.RunOptions{Mode: mode}, nil)
 				for {
 					done, err := v.RunPhase()
 					if err != nil {
@@ -368,7 +368,7 @@ func TestFunctionalReqWithoutRemote(t *testing.T) {
 	if err := v.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	v.BeginRun(sim.RunOptions{}, sim.FunctionalMode, nil)
+	v.BeginRun(sim.RunOptions{Mode: sim.FunctionalMode}, nil)
 	defer v.EndRun()
 	_, err := v.RunPhase()
 	if err == nil || !strings.Contains(err.Error(), "no remote fabric attached") {
@@ -389,7 +389,7 @@ func TestFunctionalMaxPhaseSteps(t *testing.T) {
 	if err := v.Load(spinProg(t)); err != nil {
 		t.Fatal(err)
 	}
-	v.BeginRun(sim.RunOptions{MaxPhaseSteps: 64}, sim.FunctionalMode, nil)
+	v.BeginRun(sim.RunOptions{MaxPhaseSteps: 64, Mode: sim.FunctionalMode}, nil)
 	defer v.EndRun()
 	_, err := v.RunPhase()
 	if !errors.Is(err, sim.ErrCycleBudget) {
@@ -406,7 +406,7 @@ func TestFunctionalMaxCyclesAsInstructionBound(t *testing.T) {
 	if err := v.Load(spinProg(t)); err != nil {
 		t.Fatal(err)
 	}
-	v.BeginRun(sim.RunOptions{MaxCycles: 100}, sim.FunctionalMode, nil)
+	v.BeginRun(sim.RunOptions{MaxCycles: 100, Mode: sim.FunctionalMode}, nil)
 	defer v.EndRun()
 	_, err := v.RunPhase()
 	if !errors.Is(err, sim.ErrCycleBudget) {
@@ -425,7 +425,7 @@ func TestFunctionalInterruptHook(t *testing.T) {
 	if err := v.Load(spinProg(t)); err != nil {
 		t.Fatal(err)
 	}
-	v.BeginRun(sim.RunOptions{}, sim.FunctionalMode, func() error {
+	v.BeginRun(sim.RunOptions{Mode: sim.FunctionalMode}, func() error {
 		calls++
 		if calls >= 2 {
 			return errStop

@@ -46,11 +46,6 @@ type Remote interface {
 	RemoteRoundTrip(now int64, srcChip, srcVault, dstChip, dstVault int) int64
 }
 
-// NoEvent is the NextEvent sentinel for "no lower bound": the component
-// is quiescent and cannot change state on its own. It matches
-// dram.NoEvent so bounds from different layers min together directly.
-const NoEvent int64 = math.MaxInt64
-
 // entry is one Issued Instruction Queue slot. Entries are recycled
 // through the vault's free list (newEntry/freeEntry): an entry pointer
 // is live exactly while it sits in the inflight queue, so reuse cannot
@@ -261,38 +256,6 @@ func (v *Vault) advanceTo(t int64, reason sim.StallReason) {
 	v.now = t
 }
 
-// NextEvent returns a lower bound on the next cycle at or after now at
-// which this vault's *pending* state can change on its own: the
-// earliest in-flight completion, DRAM controller event, or remote
-// response arrival. It returns NoEvent when nothing is pending (the
-// core itself can still issue, which is not an "event" in this sense).
-// Read-only: unlike resolve, it never schedules queued DRAM requests,
-// so the bound for a bank instruction is its controller's next command
-// time, not the final completion time. Safe only on the goroutine
-// currently running the vault.
-func (v *Vault) NextEvent(now int64) int64 {
-	best := NoEvent
-	for _, e := range v.inflight {
-		if len(e.reqs) == 0 {
-			if e.completes > now && e.completes < best {
-				best = e.completes
-			}
-			continue
-		}
-		for _, pg := range e.pgs {
-			if t := pg.Ctrl.NextEvent(now); t < best {
-				best = t
-			}
-		}
-	}
-	for _, r := range v.vsmReady {
-		if r > now && r < best {
-			best = r
-		}
-	}
-	return best
-}
-
 // newEntry pops a recycled issued-queue entry (or allocates one).
 func (v *Vault) newEntry() *entry {
 	if n := len(v.entryPool); n > 0 {
@@ -436,20 +399,20 @@ func (v *Vault) AlignTo(t int64) {
 const InterruptEvery = 1024
 
 // BeginRun arms run control for one machine run: the budget (zero =
-// unlimited), the resolved execution mode, and an optional interrupt
+// unlimited) and execution mode in opts, and an optional interrupt
 // hook polled every InterruptEvery issued instructions. Budgets are
 // measured from the vault's current clock — or, in FunctionalMode,
 // from an issued-instruction counter standing in for the clock. The
 // machine calls this after Load and disarms with EndRun.
-func (v *Vault) BeginRun(budget sim.RunOptions, mode sim.Mode, interrupt func() error) {
-	v.budget = budget
+func (v *Vault) BeginRun(opts sim.RunOptions, interrupt func() error) {
+	v.budget = opts
 	v.interrupt = interrupt
 	v.runStart = v.now
 	v.phaseSteps = 0
 	v.sinceCheck = 0
 	v.funcIssued = 0
-	v.funcMode = mode == sim.FunctionalMode
-	v.limited = budget.Enabled() || interrupt != nil
+	v.funcMode = opts.Mode == sim.FunctionalMode
+	v.limited = opts.Enabled() || interrupt != nil
 }
 
 // EndRun disarms run control.

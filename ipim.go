@@ -79,14 +79,13 @@ type (
 	// FaultPlan is a deterministic, seeded fault-injection campaign
 	// (attach with Machine.SetFaultPlan; see internal/fault).
 	FaultPlan = fault.Plan
-	// RunOptions bounds a run with hard execution budgets and can select
-	// its execution mode (install with Machine.SetBudget or pass to
-	// RunContext helpers). Budget checks use only vault-local state, so
-	// the error point is deterministic at any worker count.
+	// RunOptions selects one run's execution mode, budgets and
+	// checkpointing (pass it to RunContext and friends). Budget checks
+	// use only vault-local state, so the error point is deterministic at
+	// any worker count.
 	RunOptions = sim.RunOptions
 	// Mode selects how a run executes: cycle-accurate timing simulation
-	// or pure-functional execution (select with Machine.SetMode or
-	// RunOptions.Mode).
+	// or pure-functional execution (select with RunOptions.Mode).
 	Mode = sim.Mode
 )
 
@@ -95,10 +94,7 @@ type (
 // instruction counts with Cycles = 0 — and runs several times faster on
 // the host (BENCH_funcmode.json).
 const (
-	// DefaultMode defers to the machine's configured mode (cycle unless
-	// Machine.SetMode says otherwise).
-	DefaultMode = sim.DefaultMode
-	// CycleMode is the full timing simulation.
+	// CycleMode is the full timing simulation (the zero Mode).
 	CycleMode = sim.CycleMode
 	// FunctionalMode executes functionally only: correct outputs, no
 	// clocks. MaxCycles budgets become issued-instruction bounds.
@@ -276,17 +272,14 @@ func RunHistogram(m *Machine, art *Artifact, img *Image) ([]int32, Stats, error)
 // never-syncing program is interruptible. On cancellation the error
 // wraps ErrCancelled (and the context's cause); on budget exhaustion,
 // ErrCycleBudget. Either way the machine has been Reset and is
-// immediately reusable. opts temporarily overrides the machine's
-// installed budget when non-zero; the machine's own budget is restored
-// before returning. A RunContext under a non-expiring context and zero
-// budget is bit-identical to Run.
+// immediately reusable. opts applies to this run only; the machine
+// keeps no run settings. A RunContext under a non-expiring context and
+// zero opts is bit-identical to Run.
 func RunContext(ctx context.Context, m *Machine, art *Artifact, img *Image, opts RunOptions) (*Image, Stats, error) {
-	restore := applyBudget(m, opts)
-	defer restore()
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		return nil, Stats{}, err
 	}
-	stats, err := compiler.ExecuteContext(ctx, m, art)
+	stats, err := compiler.ExecuteContext(ctx, m, art, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -299,12 +292,10 @@ func RunContext(ctx context.Context, m *Machine, art *Artifact, img *Image, opts
 
 // RunHistogramContext is RunContext for histogram pipelines.
 func RunHistogramContext(ctx context.Context, m *Machine, art *Artifact, img *Image, opts RunOptions) ([]int32, Stats, error) {
-	restore := applyBudget(m, opts)
-	defer restore()
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		return nil, Stats{}, err
 	}
-	stats, err := compiler.ExecuteContext(ctx, m, art)
+	stats, err := compiler.ExecuteContext(ctx, m, art, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -329,17 +320,17 @@ func RestoreMachine(r io.Reader, cfg Config) (*Machine, error) {
 
 // ResumeRun continues the interrupted run a restored machine carries
 // (ErrNoResume if there is none) and gathers the output image exactly
-// as Run would have. The resumed run keeps the checkpointed budget and
-// execution mode; opts only re-arms checkpointing (sink and interval) —
-// its other fields are ignored. The contract: checkpoint at barrier N,
+// as Run would have. The resumed run keeps the checkpointed execution
+// mode and, by default, the checkpointed budget: opts' checkpoint sink
+// always applies, and its non-zero MaxCycles, MaxPhaseSteps and
+// CheckpointEvery replace the checkpointed values — which is how a
+// budget-aborted run is resumed with a looser budget. The contract: checkpoint at barrier N,
 // RestoreMachine onto a fresh machine, ResumeRun, and the pixels, Stats
 // and fault counters are bit-identical to the run that was never
 // interrupted, at any worker count. Note the returned Stats span the
 // whole original run, not just the resumed tail.
 func ResumeRun(ctx context.Context, m *Machine, art *Artifact, opts RunOptions) (*Image, Stats, error) {
-	restore := applyBudget(m, opts)
-	defer restore()
-	stats, err := m.ResumeContext(ctx)
+	stats, err := m.ResumeContext(ctx, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -352,9 +343,7 @@ func ResumeRun(ctx context.Context, m *Machine, art *Artifact, opts RunOptions) 
 
 // ResumeHistogram is ResumeRun for histogram pipelines.
 func ResumeHistogram(ctx context.Context, m *Machine, art *Artifact, opts RunOptions) ([]int32, Stats, error) {
-	restore := applyBudget(m, opts)
-	defer restore()
-	stats, err := m.ResumeContext(ctx)
+	stats, err := m.ResumeContext(ctx, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -363,18 +352,6 @@ func ResumeHistogram(ctx context.Context, m *Machine, art *Artifact, opts RunOpt
 		return nil, Stats{}, err
 	}
 	return bins, stats, nil
-}
-
-// applyBudget temporarily installs a non-zero budget, execution-mode or
-// checkpoint-sink override on the machine, returning the function that
-// restores the previous budget.
-func applyBudget(m *Machine, opts RunOptions) func() {
-	if !opts.Enabled() && opts.Mode == sim.DefaultMode && opts.CheckpointSink == nil {
-		return func() {}
-	}
-	prev := m.Budget()
-	m.SetBudget(opts)
-	return func() { m.SetBudget(prev) }
 }
 
 // Synth generates a deterministic scene-like test image (the DIV8K

@@ -23,9 +23,9 @@ go build ./...
 
 # Documentation gates. doccheck requires a doc comment on every
 # exported identifier of the documented core packages (root ipim,
-# internal/sim, internal/cube, internal/vault); linkcheck verifies the
-# relative links in README/DESIGN/EXPERIMENTS/ROADMAP and docs/*.md
-# resolve. Both live in scripts/ and compile under `go build ./...`.
+# internal/sim, internal/cube, internal/vault, internal/noc); linkcheck
+# verifies the relative links in README/DESIGN/EXPERIMENTS/ROADMAP and
+# docs/*.md resolve. Both live in scripts/ and compile under `go build ./...`.
 go run ./scripts/doccheck
 go run ./scripts/linkcheck
 

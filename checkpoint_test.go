@@ -405,14 +405,18 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsVersion1: a checkpoint in the version-1 layout,
-// which still carried per-mesh link images and a second mode byte, is
-// refused by its version field before any payload is parsed.
+// TestCheckpointRejectsVersion1: checkpoints in the version-1 layout,
+// which still carried per-mesh link images and a second mode byte, and
+// in the version-2 layout, whose run section still carried a baseline
+// Stats snapshot and per-vault budget origins, are refused by their
+// version field before any payload is parsed.
 func TestCheckpointRejectsVersion1(t *testing.T) {
 	cfg := detConfig()
-	data := finalState(t, ckptMachine(t, cfg, 1, true, nil))
-	binary.LittleEndian.PutUint32(data[len("IPIMCKPT"):], 1)
-	if _, err := RestoreMachine(bytes.NewReader(data), cfg); !errors.Is(err, ErrCheckpointVersion) {
-		t.Errorf("restore of a version-1 checkpoint: got %v, want ErrCheckpointVersion", err)
+	for _, version := range []uint32{1, 2} {
+		data := finalState(t, ckptMachine(t, cfg, 1, true, nil))
+		binary.LittleEndian.PutUint32(data[len("IPIMCKPT"):], version)
+		if _, err := RestoreMachine(bytes.NewReader(data), cfg); !errors.Is(err, ErrCheckpointVersion) {
+			t.Errorf("restore of a version-%d checkpoint: got %v, want ErrCheckpointVersion", version, err)
+		}
 	}
 }

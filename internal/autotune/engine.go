@@ -158,7 +158,6 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 	// without ever advancing a DRAM clock; functional and cycle outputs
 	// are bit-identical by construction, so the timed run below needs no
 	// second verification.
-	m.Reset()
 	m.SetDRAMPolicy(c.Page, c.Sched)
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		r.Err = err
@@ -177,12 +176,10 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 		r.Err = fmt.Errorf("autotune: candidate %s diverged from reference", c)
 		return r
 	}
-	// Reset rewinds the machine's timing state to fresh-out-of-New, so
-	// a candidate's measurement is independent of which candidates this
-	// worker evaluated before it (and of the pre-screen above) — a
-	// precondition for worker-count determinism.
-	m.Reset()
-	m.SetDRAMPolicy(c.Page, c.Sched)
+	// Every run starts from a fresh machine, so the measurement is
+	// independent of which candidates this worker evaluated before it
+	// (and of the pre-screen above) — a precondition for worker-count
+	// determinism.
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		r.Err = err
 		return r

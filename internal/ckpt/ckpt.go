@@ -37,7 +37,7 @@ import (
 
 // Version is the current checkpoint format version. Bump it on any
 // payload schema change; readers reject other versions with ErrVersion.
-const Version = 2
+const Version = 3
 
 // magic identifies a checkpoint container.
 const magic = "IPIMCKPT"

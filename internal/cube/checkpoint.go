@@ -15,9 +15,9 @@ package cube
 //  4. one vault image per vault, in (cube, vault) order
 //  5. link state for every per-source port shard: each cube mesh's
 //     shard, then the SERDES shard, in (cube, vault) order
-//  6. the in-progress run, if any: budget, mode, the run's baseline
-//     stats snapshot, the active vault set, and each active vault's
-//     budget-origin offset
+//  6. the in-progress run, if any: budget, mode and the active vault
+//     set (every run starts from a fresh machine, so the vault images
+//     already hold the run's clocks and counters from its start)
 //
 // Restore follows the decode-then-apply discipline end to end: the
 // whole payload is parsed and validated into images first and only then
@@ -57,24 +57,14 @@ var ErrCheckpointConfig = errors.New("cube: checkpoint configuration mismatch")
 // carried no in-progress run (or whose resume was already consumed).
 var ErrNoResume = errors.New("cube: no checkpointed run to resume")
 
-// liveRun is the in-flight run's bookkeeping, stashed on the machine
-// between BeginRun and EndRun so a mid-run checkpoint (taken by the
-// barrier hook) can serialize the run section.
-type liveRun struct {
-	keys   [][2]int
-	active []*vault.Vault
-	opts   sim.RunOptions
-	before sim.Stats
-}
-
-// resumeState is a restored checkpoint's run section, consumed by
-// ResumeContext.
-type resumeState struct {
-	keys       [][2]int
-	opts       sim.RunOptions // without CheckpointSink, which cannot be serialized
-	before     sim.Stats
-	elapsed    []int64
-	funcIssued []int64
+// runSection is a run's bookkeeping: its active vault set and options.
+// Machine.run holds the in-flight run's, so a mid-run checkpoint (taken
+// by the barrier hook) can serialize it; Machine.resume holds a
+// restored checkpoint's, without the CheckpointSink (which cannot be
+// serialized), until ResumeContext consumes it.
+type runSection struct {
+	keys [][2]int
+	opts sim.RunOptions
 }
 
 // configDigest is the compatibility string a checkpoint embeds.
@@ -179,13 +169,10 @@ func (m *Machine) checkpointPayload() []byte {
 		e.I64(r.opts.MaxPhaseSteps)
 		e.I64(r.opts.CheckpointEvery)
 		e.U8(uint8(r.opts.Mode))
-		r.before.EncodeCkpt(e)
 		e.U32(uint32(len(r.keys)))
-		for i, k := range r.keys {
+		for _, k := range r.keys {
 			e.Int(k[0])
 			e.Int(k[1])
-			e.I64(r.active[i].RunStartDelta())
-			e.I64(r.active[i].FuncIssued())
 		}
 	} else {
 		e.Bool(false)
@@ -309,24 +296,20 @@ func (m *Machine) restorePayload(payload []byte) error {
 		}
 	}
 
-	var rs *resumeState
+	var rs *runSection
 	if d.Bool() {
-		rs = &resumeState{opts: sim.RunOptions{
+		rs = &runSection{opts: sim.RunOptions{
 			MaxCycles:       d.I64(),
 			MaxPhaseSteps:   d.I64(),
 			CheckpointEvery: d.I64(),
 			Mode:            sim.Mode(d.U8()),
 		}}
-		rs.before.DecodeCkpt(d)
 		nActive := int(d.U32())
 		if d.Err() == nil && (nActive == 0 || nActive > nVaults) {
 			return fmt.Errorf("cube: checkpoint run section has %d active vaults of %d: %w", nActive, nVaults, ckpt.ErrCorrupt)
 		}
 		for i := 0; i < nActive && d.Err() == nil; i++ {
-			k := [2]int{d.Int(), d.Int()}
-			rs.keys = append(rs.keys, k)
-			rs.elapsed = append(rs.elapsed, d.I64())
-			rs.funcIssued = append(rs.funcIssued, d.I64())
+			rs.keys = append(rs.keys, [2]int{d.Int(), d.Int()})
 		}
 	}
 	if err := d.Err(); err != nil {
@@ -340,7 +323,7 @@ func (m *Machine) restorePayload(payload []byte) error {
 			return fmt.Errorf("cube: checkpoint run section has unknown mode %d: %w", rs.opts.Mode, ckpt.ErrCorrupt)
 		}
 		prev := [2]int{-1, -1}
-		for i, k := range rs.keys {
+		for _, k := range rs.keys {
 			if k[0] < 0 || k[0] >= m.Cfg.Cubes || k[1] < 0 || k[1] >= m.Cfg.VaultsPerCube {
 				return fmt.Errorf("cube: checkpoint run section references vault %v: %w", k, ckpt.ErrCorrupt)
 			}
@@ -350,9 +333,6 @@ func (m *Machine) restorePayload(payload []byte) error {
 			prev = k
 			if !imgs[k[0]*m.Cfg.VaultsPerCube+k[1]].HasProgram() {
 				return fmt.Errorf("cube: checkpoint run section vault %v has no program: %w", k, ckpt.ErrCorrupt)
-			}
-			if rs.elapsed[i] < 0 {
-				return fmt.Errorf("cube: checkpoint run section vault %v has negative elapsed time: %w", k, ckpt.ErrCorrupt)
 			}
 		}
 	}
@@ -390,8 +370,9 @@ func (m *Machine) Resume() (sim.Stats, error) {
 
 // ResumeContext continues the in-progress run a restored checkpoint
 // carried, from its barrier to completion, and returns the stats of the
-// WHOLE run (the uninterrupted run's stats, bit for bit — the baseline
-// snapshot travels in the checkpoint). The serialized budget and mode
+// WHOLE run (the uninterrupted run's stats, bit for bit — the vault
+// images and link shards carry the run's counters from its start, and
+// nothing is reset here). The serialized budget and mode
 // govern the resumed run, so budget exhaustion trips at the same
 // instruction it would have without the interruption; opts overrides
 // them field by field — its checkpoint sink (which cannot be
@@ -423,8 +404,8 @@ func (m *Machine) ResumeContext(ctx context.Context, opts sim.RunOptions) (sim.S
 		run.CheckpointEvery = opts.CheckpointEvery
 	}
 	interrupt := makeInterrupt(ctx)
-	for i, v := range active {
-		v.BeginResumedRun(run, interrupt, rs.elapsed[i], rs.funcIssued[i])
+	for _, v := range active {
+		v.BeginRun(run, interrupt)
 	}
-	return m.finishRun(ctx, rs.keys, active, run, rs.before)
+	return m.finishRun(ctx, rs.keys, active, run)
 }

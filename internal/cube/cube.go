@@ -83,13 +83,13 @@ type Machine struct {
 	// kept so checkpoints can serialize it.
 	fplan *fault.Plan
 
-	// run is the in-flight run's bookkeeping (see liveRun), non-nil
+	// run is the in-flight run's bookkeeping (see runSection), non-nil
 	// only between BeginRun and EndRun; mid-run checkpoints read it.
-	run *liveRun
+	run *runSection
 
 	// resume holds a restored checkpoint's in-progress run until
 	// ResumeContext consumes it.
-	resume *resumeState
+	resume *runSection
 }
 
 // New builds a machine for the configuration.
@@ -367,7 +367,9 @@ func (m *Machine) barrierCost() int64 {
 // Within a phase the active vaults run concurrently on up to
 // phaseWorkers goroutines; results are schedule-independent (see the
 // package comment). It returns aggregated statistics (Cycles = wall
-// clock of the slowest vault).
+// clock of the slowest vault). Every run starts from the state of a
+// machine fresh out of New apart from memory contents (vault.Load), so
+// its statistics depend on the programs and their inputs alone.
 //
 // Run is RunContext under a background context with zero options: an
 // unbudgeted cycle-mode run.
@@ -417,17 +419,16 @@ func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Progr
 	if len(active) == 0 {
 		return sim.Stats{}, fmt.Errorf("cube: no programs to run")
 	}
-	// Vault counters accumulate across the machine's lifetime; snapshot
-	// them so a reused Machine (e.g. a pooled worker in internal/serve)
-	// reports only what THIS run contributed.
-	before := m.collectStats(active)
+	// Load rewound every active vault; with the link shards rewound too,
+	// a reused Machine reports exactly what a fresh one would.
+	m.resetLinks()
 
 	// Arm run control and drive the phase loop to completion.
 	interrupt := makeInterrupt(ctx)
 	for _, v := range active {
 		v.BeginRun(opts, interrupt)
 	}
-	return m.finishRun(ctx, keys, active, opts, before)
+	return m.finishRun(ctx, keys, active, opts)
 }
 
 // makeInterrupt builds the per-vault cancellation hook for a context.
@@ -450,7 +451,7 @@ func makeInterrupt(ctx context.Context) func() error {
 
 // runProgress is the checkpoint pacing metric: the furthest active
 // vault clock in cycle mode, or — since functional runs never advance
-// clocks — the furthest cumulative issue counter.
+// clocks — the furthest issue count of the run.
 func runProgress(active []*vault.Vault, functional bool) int64 {
 	var p int64
 	for _, v := range active {
@@ -465,14 +466,14 @@ func runProgress(active []*vault.Vault, functional bool) int64 {
 	return p
 }
 
-// finishRun drives an armed run (BeginRun or BeginResumedRun already
-// called on every active vault) phase by phase to completion, aligning
+// finishRun drives an armed run (BeginRun already called on every
+// active vault) phase by phase to completion, aligning
 // clocks at each barrier and taking periodic checkpoints there when
 // opts arms a sink. It is the shared back half of RunContext and
 // ResumeContext; the run bookkeeping it stashes on the machine is what
 // a mid-run checkpoint serializes. On return the vaults are disarmed.
-func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.Vault, opts sim.RunOptions, before sim.Stats) (sim.Stats, error) {
-	m.run = &liveRun{keys: keys, active: active, opts: opts, before: before}
+func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.Vault, opts sim.RunOptions) (sim.Stats, error) {
+	m.run = &runSection{keys: keys, opts: opts}
 	defer func() {
 		m.run = nil
 		for _, v := range active {
@@ -562,9 +563,7 @@ func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.
 			}
 		}
 	}
-	total := m.collectStats(active)
-	total.Sub(&before)
-	return total, nil
+	return m.collectStats(active), nil
 }
 
 // runPhaseSerial steps every unfinished vault to its next sync on the
@@ -630,11 +629,11 @@ func (m *Machine) runPhaseParallel(active []*vault.Vault, phased []bool, workers
 	return nil
 }
 
-// collectStats folds and sums the cumulative counters of the given
-// vaults plus every port's NoC/SERDES link shards, walking vaults and
-// port shards in ascending (cube, vault) order so the fold is a fixed
-// reduction tree. Callers diff two collections to get per-run stats
-// (FoldDRAMStats is idempotent, so collecting twice is safe).
+// collectStats folds and sums the run's counters of the given vaults
+// plus every port's NoC/SERDES link shards, walking vaults and port
+// shards in ascending (cube, vault) order so the fold is a fixed
+// reduction tree. Every one of them starts the run at zero (Load and
+// resetLinks), so the sum is the run's Stats.
 func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 	var total sim.Stats
 	for _, v := range active {
@@ -658,31 +657,32 @@ func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 	return total
 }
 
-// Reset returns the machine to a clean reusable state: every vault's
-// program is unloaded, its queues drained and clock rewound to zero,
-// instruction caches go cold, DRAM controller timing state (open rows,
-// request queues, tFAW/refresh windows) is rewound, and every
-// interconnect shard's link-occupancy timeline is zeroed — timing-wise
-// the machine is indistinguishable from one fresh out of New.
-//
-// Cumulative state deliberately survives: Stats counters (pools diff
-// snapshots around each run), attached fault plans and their per-site
-// decision streams, SRAM/DRAM data contents, and configuration
-// (parallelism, fast-forward, timing memo, DRAM policies). RunContext
-// calls Reset automatically when a run is cancelled or exhausts its
-// budget; worker pools call it when recovering a machine from a panic.
+// Reset unloads every vault's program and rewinds the whole machine to
+// the state of one fresh out of New (vault.Abort on every vault, and
+// every interconnect shard's timeline and counters zeroed), flushing
+// the timing memo. Attached fault plans and their per-site decision
+// streams, SRAM/DRAM data contents, and configuration (parallelism,
+// fast-forward, timing memo, DRAM policies) survive. Every run already
+// starts fresh, so a completed run needs no Reset; RunContext calls it
+// when a run is cancelled or exhausts its budget, and worker pools
+// call it when recovering a machine from a panic.
 func (m *Machine) Reset() {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
 			v.Abort()
 		}
 	}
+	m.resetLinks()
+}
+
+// resetLinks zeroes every port shard's link timeline and counters.
+func (m *Machine) resetLinks() {
 	for _, ps := range m.ports {
 		for _, p := range ps {
 			for _, st := range p.mesh {
-				st.ResetTiming()
+				st.Reset()
 			}
-			p.serdes.ResetTiming()
+			p.serdes.Reset()
 		}
 	}
 }

@@ -4,10 +4,10 @@ package dram
 // state at a phase barrier is exactly its canonical timing snapshot
 // (CaptureTiming's equivalence proof: two controllers with equal
 // canonical snapshots schedule any identical future request stream
-// identically) plus the policies the snapshot is keyed under, the
-// cumulative Stats, and the per-bank ECC tallies. The request queue is
-// empty at barriers by construction, so no in-flight requests are
-// serialized; CaptureTiming/RestoreTiming both enforce that invariant.
+// identically) plus the policies the snapshot is keyed under and the
+// run's Stats. The request queue is empty at barriers by construction,
+// so no in-flight requests are serialized; CaptureTiming/RestoreTiming
+// both enforce that invariant.
 //
 // The decode path follows the repository-wide checkpoint discipline:
 // DecodeCtrlCkpt parses and validates into a CtrlImage without touching
@@ -26,7 +26,6 @@ import (
 type CtrlImage struct {
 	snap  TimingSnapshot
 	stats Stats
-	ecc   []BankECC
 }
 
 // EncodeCkpt appends the controller's checkpoint state to e, with all
@@ -65,12 +64,6 @@ func (c *Controller) EncodeCkpt(e *ckpt.Enc, base int64) {
 	e.I64(st.BusyCycles)
 	e.I64(st.ECCCorrected)
 	e.I64(st.ECCUncorrected)
-
-	e.U32(uint32(len(c.bankECC)))
-	for _, b := range c.bankECC {
-		e.I64(b.Corrected)
-		e.I64(b.Uncorrected)
-	}
 }
 
 // DecodeCtrlCkpt parses one controller checkpoint from d and validates
@@ -115,14 +108,6 @@ func DecodeCtrlCkpt(d *ckpt.Dec, nBanks int) (*CtrlImage, error) {
 		ECCCorrected:    d.I64(),
 		ECCUncorrected:  d.I64(),
 	}
-
-	ne := int(d.U32())
-	if d.Err() == nil && ne != nBanks {
-		return nil, fmt.Errorf("dram: checkpoint has ECC tallies for %d banks, controller has %d: %w", ne, nBanks, ckpt.ErrCorrupt)
-	}
-	for i := 0; i < ne && d.Err() == nil; i++ {
-		img.ecc = append(img.ecc, BankECC{Corrected: d.I64(), Uncorrected: d.I64()})
-	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -150,5 +135,4 @@ func (c *Controller) ApplyCtrlCkpt(img *CtrlImage, base int64) {
 	c.SetPolicies(img.snap.page, img.snap.sched)
 	c.RestoreTiming(&img.snap, base, true)
 	c.Stats = img.stats
-	copy(c.bankECC, img.ecc)
 }

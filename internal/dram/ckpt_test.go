@@ -63,10 +63,6 @@ func TestCtrlCkptRoundTrip(t *testing.T) {
 	if dst.Stats != src.Stats {
 		t.Errorf("restored Stats = %+v, want %+v", dst.Stats, src.Stats)
 	}
-	tal := dst.BankECCTally()
-	if tal[0].Corrected != 1 || tal[2].Uncorrected != 1 {
-		t.Errorf("restored ECC tally = %+v", tal)
-	}
 	// Re-encoding the restored controller at the same base must be
 	// byte-identical: the canonical snapshot round-trips exactly.
 	if got := encodeCtrl(dst, now); string(got) != string(payload) {

@@ -27,6 +27,7 @@ const (
 	ClosePage
 )
 
+// String returns the policy's short name ("open" or "close").
 func (p PagePolicy) String() string {
 	if p == OpenPage {
 		return "open"
@@ -44,6 +45,7 @@ const (
 	FCFS
 )
 
+// String returns the policy's display name ("FR-FCFS" or "FCFS").
 func (s SchedPolicy) String() string {
 	if s == FRFCFS {
 		return "FR-FCFS"
@@ -109,47 +111,50 @@ const NoEvent int64 = math.MaxInt64
 // reinitializes every scheduling field, so a recycled Request needs no
 // explicit reset.
 type Request struct {
-	Bank  int    // bank index within this controller (= PE index in PG)
-	Addr  uint32 // byte address within the bank
+	Bank int    // bank index within this controller (= PE index in PG)
+	Addr uint32 // byte address within the bank
+	// Write marks a column write (WR); false is a read (RD).
 	Write bool
 
 	Arrive int64 // time the request entered the queue
+	// Done reports that the controller has issued the request; Finish
+	// is valid from then on.
 	Done   bool
 	Finish int64 // data available (read) / write recoverable
 
-	issued bool // command sequence completed; burst scheduled
-	row    int  // Addr's row index, cached at Enqueue
+	row int // Addr's row index, cached at Enqueue
 }
 
 // Stats counts controller activity for the energy model and Fig. 13
 // utilization. The ECC counters are fed by the fault-injection layer
 // (internal/fault) via NoteECC; without a fault plan they stay zero.
 type Stats struct {
-	Reads, Writes   int64
-	Activates       int64
-	Precharges      int64
-	Refreshes       int64
-	RowHits         int64
-	RowMisses       int64
+	// Reads counts column reads (RD) issued.
+	Reads int64
+	// Writes counts column writes (WR) issued.
+	Writes int64
+	// Activates counts row activations (ACT).
+	Activates int64
+	// Precharges counts precharges (PRE), explicit and auto.
+	Precharges int64
+	// Refreshes counts refresh operations (one per tREFI epoch crossed).
+	Refreshes int64
+	// RowHits counts requests served from the already-open row.
+	RowHits int64
+	// RowMisses counts requests that needed an ACT first.
+	RowMisses int64
+	// QueueFullStalls counts Enqueue calls refused by a full queue.
 	QueueFullStalls int64
 	BusyCycles      int64 // cycles with ≥1 request in flight
 	ECCCorrected    int64 // single-bit read errors corrected by SECDED
 	ECCUncorrected  int64 // multi-bit read errors detected, data corrupt
 }
 
-// BankECC is one bank's ECC error tally.
-type BankECC struct {
-	Corrected   int64
-	Uncorrected int64
-}
-
 type bankState struct {
-	openRow   int   // -1 when precharged
-	actAt     int64 // time of last ACT
-	preReady  int64 // earliest next PRE
-	actReady  int64 // earliest next ACT (bank-local: tRP after PRE)
-	colReady  int64 // earliest next RD/WR (tRCD after ACT, tCCD after last col)
-	lastWrEnd int64 // end of last write data (for tWR before PRE)
+	openRow  int   // -1 when precharged
+	preReady int64 // earliest next PRE
+	actReady int64 // earliest next ACT (bank-local: tRP after PRE)
+	colReady int64 // earliest next RD/WR (tRCD after ACT, tCCD after last col)
 }
 
 // Controller is the in-DRAM memory controller of one process group,
@@ -176,9 +181,6 @@ type Controller struct {
 	lastActGroup []int64
 	hadActGroup  []bool
 
-	// bankECC tallies injected ECC events per bank (totals in Stats).
-	bankECC []BankECC
-
 	nextRefresh int64
 	refUntil    int64 // in-progress refresh blackout end
 
@@ -187,8 +189,8 @@ type Controller struct {
 	maxBypass int
 	bypassed  int
 
-	lastBusy int64 // for BusyCycles accounting
-
+	// Stats counts the controller's activity since it was built or
+	// last Reset.
 	Stats Stats
 }
 
@@ -205,7 +207,6 @@ func NewController(nBanks, qCap int, t Timing, g Geometry, page PagePolicy, sche
 		maxBypass:    16,
 		lastActGroup: make([]int64, (nBanks+1)/2),
 		hadActGroup:  make([]bool, (nBanks+1)/2),
-		bankECC:      make([]BankECC, nBanks),
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -213,13 +214,12 @@ func NewController(nBanks, qCap int, t Timing, g Geometry, page PagePolicy, sche
 	return c
 }
 
-// ResetTiming returns the controller to its just-built timing state —
-// queue empty, all banks precharged and immediately schedulable, the
-// refresh epoch rewound — while preserving the cumulative Stats and the
-// per-bank ECC tallies. The run-abort path uses it so a machine whose
-// clocks rewound to zero does not carry bank-readiness or refresh times
-// from the abandoned timeline.
-func (c *Controller) ResetTiming() {
+// Reset returns the controller to its just-built state — queue empty,
+// all banks precharged and immediately schedulable, the refresh epoch
+// rewound, Stats zeroed — keeping only its policies. Every vault run
+// starts with it, so a run's timing and counters depend on that run
+// alone.
+func (c *Controller) Reset() {
 	for i := range c.banks {
 		c.banks[i] = bankState{openRow: -1}
 	}
@@ -233,7 +233,7 @@ func (c *Controller) ResetTiming() {
 	c.nextRefresh = int64(c.timing.TREFI)
 	c.refUntil = 0
 	c.bypassed = 0
-	c.lastBusy = 0
+	c.Stats = Stats{}
 }
 
 // SetPolicies switches the row-buffer and scheduling policies. Only
@@ -270,7 +270,6 @@ func (c *Controller) Enqueue(now int64, r *Request) bool {
 	}
 	r.Arrive = now
 	r.Done = false
-	r.issued = false
 	r.row = c.geom.RowOf(r.Addr)
 	c.queue = append(c.queue, r)
 	return true
@@ -439,7 +438,6 @@ func (c *Controller) issue(r *Request, issueAt int64) {
 		}
 		// ACT happened tRCD before the column command.
 		actAt := issueAt - int64(c.timing.TRCD)
-		b.actAt = actAt
 		b.preReady = actAt + int64(c.timing.TRAS)
 		c.lastAct = actAt
 		c.hadAct = true
@@ -456,7 +454,6 @@ func (c *Controller) issue(r *Request, issueAt int64) {
 	if r.Write {
 		c.Stats.Writes++
 		r.Finish = issueAt + int64(c.timing.TCWL) + 1
-		b.lastWrEnd = r.Finish
 		wrPre := r.Finish + int64(c.timing.TWR)
 		if wrPre > b.preReady {
 			b.preReady = wrPre
@@ -476,7 +473,6 @@ func (c *Controller) issue(r *Request, issueAt int64) {
 		b.openRow = -1
 	}
 	r.Done = true
-	r.issued = true
 	c.Stats.BusyCycles += r.Finish - r.Arrive
 	// Remove from queue.
 	for i, q := range c.queue {
@@ -489,24 +485,14 @@ func (c *Controller) issue(r *Request, issueAt int64) {
 
 // NoteECC records one injected ECC event on a bank read: corrected
 // (single-bit, data intact) or uncorrected (multi-bit, data corrupt).
-// Called by the fault-injection layer; totals land in Stats and a
-// per-bank tally is kept for BankECCTally.
+// Called by the fault-injection layer; the totals land in Stats.
 func (c *Controller) NoteECC(bank int, corrected bool) {
-	if bank < 0 || bank >= len(c.bankECC) {
-		panic(fmt.Sprintf("dram: ECC event for bank %d of %d", bank, len(c.bankECC)))
+	if bank < 0 || bank >= len(c.banks) {
+		panic(fmt.Sprintf("dram: ECC event for bank %d of %d", bank, len(c.banks)))
 	}
 	if corrected {
 		c.Stats.ECCCorrected++
-		c.bankECC[bank].Corrected++
 	} else {
 		c.Stats.ECCUncorrected++
-		c.bankECC[bank].Uncorrected++
 	}
-}
-
-// BankECCTally returns a copy of the per-bank ECC error counters.
-func (c *Controller) BankECCTally() []BankECC {
-	out := make([]BankECC, len(c.bankECC))
-	copy(out, c.bankECC)
-	return out
 }

@@ -36,9 +36,6 @@ import "fmt"
 //     memoizer applies a refresh-window rule of its own (see
 //     internal/vault), because requiring exact refresh phase would kill
 //     the hit rate for every block shorter than tREFI.
-//
-// Dead-by-construction fields (actAt, lastWrEnd, lastBusy are written
-// but never read by the scheduler) are excluded entirely.
 type TimingSnapshot struct {
 	page  PagePolicy
 	sched SchedPolicy
@@ -174,8 +171,8 @@ func (s *TimingSnapshot) RefreshRel() (nextRefresh, refUntil int64) {
 // refresh epoch (nextRefresh/refUntil) is left untouched — the
 // memoizer's no-refresh-window rule guarantees the recorded block did
 // not move it. The request queue must be empty (phase boundaries drain
-// it); Stats and ECC tallies are not part of timing state and are
-// managed by the caller.
+// it); Stats are not part of timing state and are managed by the
+// caller.
 func (c *Controller) RestoreTiming(s *TimingSnapshot, base int64, refresh bool) {
 	if len(c.queue) != 0 {
 		panic(fmt.Sprintf("dram: RestoreTiming with %d queued requests", len(c.queue)))

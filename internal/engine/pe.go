@@ -54,11 +54,19 @@ func NewPE(cfg *sim.Config, cubeID, vaultID, pgID, peID int) *PE {
 		AddrRF:    make([]int32, cfg.AddrRFEntries),
 		bankBytes: cfg.BankBytes,
 	}
+	pe.ResetRegs(cubeID, vaultID, pgID, peID)
+	return pe
+}
+
+// ResetRegs zeroes both register files and re-seeds A0-A3 with the
+// PE's identifiers: the register state NewPE builds.
+func (pe *PE) ResetRegs(cubeID, vaultID, pgID, peID int) {
+	clear(pe.DataRF)
+	clear(pe.AddrRF)
 	pe.AddrRF[isa.ARFPeID] = int32(peID)
 	pe.AddrRF[isa.ARFPgID] = int32(pgID)
 	pe.AddrRF[isa.ARFVaultID] = int32(vaultID)
 	pe.AddrRF[isa.ARFChipID] = int32(cubeID)
-	return pe
 }
 
 // bankSlice returns the current backing array (nil before first use).

@@ -251,7 +251,7 @@ func TestByNameAndFormat(t *testing.T) {
 	if _, err := c.ByName("fig99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(ExperimentNames()) != 21 {
+	if len(ExperimentNames()) != 20 {
 		t.Errorf("experiment registry has %d entries", len(ExperimentNames()))
 	}
 	// Every registered name must dispatch.

@@ -403,8 +403,6 @@ func (c *Context) ByName(name string) (*Table, error) {
 		return c.Offload()
 	case "exchange":
 		return c.Exchange()
-	case "frames":
-		return c.Frames()
 	case "simspeed":
 		return c.Simspeed()
 	case "faults":
@@ -421,6 +419,6 @@ func (c *Context) ByName(name string) (*Table, error) {
 func ExperimentNames() []string {
 	return []string{"fig1", "table4", "fig6", "fig7", "fig8", "fig9",
 		"fig10a", "fig10b", "fig11", "fig12", "fig13", "stalls", "thermal",
-		"dram", "scaling", "offload", "exchange", "frames", "simspeed",
+		"dram", "scaling", "offload", "exchange", "simspeed",
 		"faults", "dnn"}
 }

@@ -169,7 +169,10 @@ func scrapeRouterMetric(t *testing.T, base, name string) float64 {
 // histogram reduction, and a 4-frame stream whose owning worker is
 // rigged to abort its connection after 2 frames — comes back through
 // the 2-worker fleet byte-identical to a single standalone server,
-// and the injected crash shows up in ipim_router_failovers_total.
+// with the same simulated cycles and energy on the process requests
+// (every run starts from a fresh machine, so neither depends on which
+// worker ran what before), and the injected crash shows up in
+// ipim_router_failovers_total.
 func TestFleetDifferentialGate(t *testing.T) {
 	_, singleURL := newWorker(t, "", nil)
 	f := newTestFleet(t, 2, nil)
@@ -193,13 +196,18 @@ func TestFleetDifferentialGate(t *testing.T) {
 
 	for _, rq := range reqs {
 		url := "/" + strings.TrimPrefix(rq.path, "/") + "?" + rq.query
-		wantStatus, _, want := post(t, singleURL+url, rq.body, nil)
+		wantStatus, wantHdr, want := post(t, singleURL+url, rq.body, nil)
 		gotStatus, hdr, got := post(t, f.routerTS.URL+url, rq.body, map[string]string{"X-Ipim-Tenant": "anyone"})
 		if wantStatus != http.StatusOK || gotStatus != wantStatus {
 			t.Fatalf("%s: single=%d fleet=%d: %s", rq.name, wantStatus, gotStatus, got)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: fleet response differs from the standalone server", rq.name)
+		}
+		for _, h := range []string{"X-Ipim-Cycles", "X-Ipim-Energy-Pj"} {
+			if g, w := hdr.Get(h), wantHdr.Get(h); g == "" || g != w {
+				t.Errorf("%s: fleet %s = %q, standalone %q", rq.name, h, g, w)
+			}
 		}
 		if hdr.Get("X-Ipim-Worker") == "" {
 			t.Errorf("%s: router did not stamp X-Ipim-Worker", rq.name)

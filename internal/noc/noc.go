@@ -189,14 +189,13 @@ func (m *Mesh) NewLinkState() *LinkState {
 	return &LinkState{linkFree: make([][numDirs]int64, m.Nodes())}
 }
 
-// ResetTiming rewinds the shard's link-occupancy timeline to zero.
-// Traffic counters and any attached fault decision stream are
-// preserved. Used by the machine's abort path alongside the vaults'
-// clock reset.
-func (st *LinkState) ResetTiming() {
-	for i := range st.linkFree {
-		st.linkFree[i] = [numDirs]int64{}
-	}
+// Reset rewinds the shard's link-occupancy timeline to zero and zeroes
+// its traffic counters. Any attached fault decision stream continues
+// where it left off. The machine resets every shard at the start of
+// each run, alongside the vaults' clocks.
+func (st *LinkState) Reset() {
+	clear(st.linkFree)
+	st.Stats = Stats{}
 }
 
 // SendOn injects a packet of size bytes at time now over the caller's

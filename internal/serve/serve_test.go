@@ -381,9 +381,9 @@ func TestMetricsContent(t *testing.T) {
 }
 
 // TestMemoMetrics: the timing memoizer's effect is visible in /metrics.
-// Repeated cycle-mode requests replay memoized phases: the first runs
-// on a fresh machine, the second records the phases entered from the
-// state a finished run leaves, and the third replays them. Functional
+// Every run starts from a fresh machine, so a repeated cycle-mode
+// request enters its phases from the states the first one recorded and
+// replays them: two requests give both misses and hits. Functional
 // mode bypasses the memoizer, so its counters stay at zero.
 func TestMemoMetrics(t *testing.T) {
 	for _, tc := range []struct {
@@ -392,7 +392,7 @@ func TestMemoMetrics(t *testing.T) {
 	}{{"cycle", true}, {"functional", false}} {
 		t.Run(tc.mode, func(t *testing.T) {
 			s := testServer(t, func(c *Config) { c.Workers = 1 })
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 2; i++ {
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, processURL("", "Shift", "mode="+tc.mode),
 					bytes.NewReader(pgmBody(t, 32, 16))))
@@ -411,6 +411,55 @@ func TestMemoMetrics(t *testing.T) {
 				t.Errorf("functional mode: memo hits %v, misses %v, fast-forwarded %v; want all 0", hits, misses, ff)
 			}
 		})
+	}
+}
+
+// TestServedCyclesMatchFreshMachine: one pooled machine serves an
+// interleaved sequence of cycle-mode Table II requests, including a
+// repeat and a histogram, and every response reports the simulated
+// cycles and instructions ipim.Run (or RunHistogram) gives that request
+// on a fresh machine — what a machine ran before never shows.
+func TestServedCyclesMatchFreshMachine(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.Workers = 1 })
+	cfg := ipim.TinyConfig()
+	body := pgmBody(t, 32, 16)
+	img, err := ipim.ReadPGM(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"GaussianBlur", "Shift", "Histogram", "Brighten", "GaussianBlur", "Shift"} {
+		wl, err := ipim.WorkloadByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := ipim.Compile(&cfg, wl.Build().Pipe, img.W, img.H, ipim.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ipim.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want ipim.Stats
+		if name == "Histogram" {
+			_, want, err = ipim.RunHistogram(m, art, img)
+		} else {
+			_, want, err = ipim.Run(m, art, img)
+		}
+		if err != nil {
+			t.Fatalf("%s on a fresh machine: %v", name, err)
+		}
+
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, processURL("", name, ""), bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d (%s): %d %s", i, name, rec.Code, rec.Body.String())
+		}
+		for h, v := range map[string]int64{"X-Ipim-Cycles": want.Cycles, "X-Ipim-Instructions": want.Issued} {
+			if got := rec.Header().Get(h); got != strconv.FormatInt(v, 10) {
+				t.Errorf("request %d (%s): %s = %s, fresh machine gives %d", i, name, h, got, v)
+			}
+		}
 	}
 }
 

@@ -4,15 +4,16 @@ package serve
 // back-to-back concatenation of binary PGM frames sharing one
 // geometry; the response streams the processed frames back in order,
 // flushed one at a time. The point of the endpoint — versus N separate
-// /v1/process calls — is amortization, mirroring the steady-state
-// frame-pipeline model in internal/exp/frames.go:
+// /v1/process calls — is amortization:
 //
 //   - one artifact compile (or cache fetch) covers the whole stream;
-//   - one pooled machine is held for the stream's duration, so frames
-//     after the first run against already-loaded DRAM state
-//     (per-frame stats are deltas — see cube.finishRun);
+//   - one pooled machine is held for the stream's duration;
 //   - host-transfer accounting is recorded once for the whole body,
 //     the way a real host would batch frames across the bus.
+//
+// Each frame is one run, and every run starts from a fresh machine, so
+// a frame's simulated cycles depend on that frame alone: a failed-over
+// stream reports the same cycles as an uninterrupted one.
 //
 // A failure after the first frame has been written cannot change the
 // committed status line, so the handler aborts the connection instead
@@ -158,11 +159,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// prefix whole.
 	rc := http.NewResponseController(w)
 
-	// One submitWait holds one machine for the whole stream: frame n+1
-	// runs against the DRAM state frame n left behind, which is exactly
-	// the steady-state amortization the frame-pipeline model measures.
-	// submitWait (not submit) because the job writes w; the handler must
-	// not return while the worker might still be streaming into it.
+	// One submitWait holds one machine for the whole stream. submitWait
+	// (not submit) because the job writes w; the handler must not
+	// return while the worker might still be streaming into it.
 	var (
 		written                          int   // output frames committed to the wire
 		outBytes                         int64 // response payload for the transfer meter

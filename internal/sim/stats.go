@@ -87,17 +87,14 @@ type Stats struct {
 // Two Stats fields are not plain event counters and fold specially:
 //
 //   - Cycles is a wall clock: concurrent vaults overlap, so Add takes
-//     the max; Sub subtracts (the clock advanced by that much during
-//     the run being diffed out).
-//   - NoC.MaxLatency is a watermark: Add takes the max; Sub keeps the
-//     current value (a watermark cannot be un-observed).
+//     the max.
+//   - NoC.MaxLatency is a watermark: Add takes the max.
 //
 // Every other int64 leaf — including array elements and the embedded
-// DRAM/NoC structs — sums under Add and subtracts under Sub. Add and
-// Sub discover those leaves by reflection (walkCounters), so a counter
-// added to Stats, dram.Stats or noc.Stats can never be silently left
-// out of the fold; sim.TestStatsFoldCoversEveryField pins the semantics
-// field by field.
+// DRAM/NoC structs — sums under Add. Add discovers those leaves by
+// reflection (walkCounters), so a counter added to Stats, dram.Stats or
+// noc.Stats can never be silently left out of the fold;
+// sim.TestStatsFoldCoversEveryField pins the semantics field by field.
 
 // Add accumulates other into s (for aggregating vaults or phases).
 func (s *Stats) Add(o *Stats) {
@@ -108,14 +105,6 @@ func (s *Stats) Add(o *Stats) {
 		s.NoC.MaxLatency = o.NoC.MaxLatency
 	}
 	walkCounters(s, o, func(d *int64, src int64) { *d += src })
-}
-
-// Sub subtracts a previously captured snapshot from s, leaving the
-// delta — what one run contributed on a long-lived machine whose
-// vaults accumulate stats across runs.
-func (s *Stats) Sub(o *Stats) {
-	s.Cycles -= o.Cycles
-	walkCounters(s, o, func(d *int64, src int64) { *d -= src })
 }
 
 // AddCounters adds every int64 leaf of o into s field for field —
@@ -132,17 +121,17 @@ func (s *Stats) AddCounters(o *Stats) {
 }
 
 // SubCounters subtracts every int64 leaf of o from s field for field,
-// the exact inverse of AddCounters (unlike Sub, which preserves the
-// MaxLatency watermark). The timing memoizer uses it to compute a
-// block's counter delta from entry/exit snapshots of one vault's stats.
+// the exact inverse of AddCounters. The timing memoizer uses it to
+// compute a block's counter delta from entry/exit snapshots of one
+// vault's stats.
 func (s *Stats) SubCounters(o *Stats) {
 	s.Cycles -= o.Cycles
 	s.NoC.MaxLatency -= o.NoC.MaxLatency
 	walkCounters(s, o, func(d *int64, src int64) { *d -= src })
 }
 
-// foldSpecial names the field paths Add/Sub handle explicitly (see the
-// comment above); walkCounters skips them.
+// foldSpecial names the field paths Add, AddCounters and SubCounters
+// handle explicitly (see the comment above); walkCounters skips them.
 var foldSpecial = map[string]bool{
 	"Cycles":         true,
 	"NoC.MaxLatency": true,

@@ -6,7 +6,7 @@ package vault
 // request queue is empty, so the architectural state is exactly the
 // core registers and memories, the clock and TSV timeline, the I$ tags
 // (timing-relevant: a cold set costs a refill bubble), the fault
-// decision-stream positions, the accumulated Stats, and the per-PG/PE
+// decision-stream positions, the run's Stats so far, and the per-PG/PE
 // memories and controller timing images.
 //
 // The program itself is serialized once machine-wide (vaults often
@@ -265,24 +265,3 @@ func (v *Vault) Program() *isa.Program { return v.prog }
 // taken: no in-flight instructions and no pending remote responses.
 // True at every phase barrier and between runs.
 func (v *Vault) Quiescent() bool { return len(v.inflight) == 0 && len(v.vsmReady) == 0 }
-
-// RunStartDelta reports how many cycles the vault's clock has advanced
-// since the current run was armed (BeginRun). The machine serializes it
-// at checkpoint time so a resumed run's MaxCycles budget trips at the
-// same instruction it would have without the interruption.
-func (v *Vault) RunStartDelta() int64 { return v.now - v.runStart }
-
-// FuncIssued reports the functional-mode issued-instruction counter
-// standing in for the clock in MaxCycles budget checks. Serialized at
-// checkpoint time for the same reason as RunStartDelta.
-func (v *Vault) FuncIssued() int64 { return v.funcIssued }
-
-// BeginResumedRun arms run control continuing a checkpointed run:
-// BeginRun, then the budget origin is moved back by elapsed cycles (and
-// the functional issue counter restored), so budgets measure from the
-// original run's start rather than the resume point.
-func (v *Vault) BeginResumedRun(opts sim.RunOptions, interrupt func() error, elapsed, funcIssued int64) {
-	v.BeginRun(opts, interrupt)
-	v.runStart = v.now - elapsed
-	v.funcIssued = funcIssued
-}

@@ -95,17 +95,3 @@ func TestVaultCkptRejections(t *testing.T) {
 		t.Errorf("config mismatch: err = %v, want ErrCorrupt", err)
 	}
 }
-
-func TestBeginResumedRunMovesBudgetOrigin(t *testing.T) {
-	cfg := sim.TestTiny()
-	v := runSrc(t, cfg, ckptSrc)
-	elapsed, funcIssued := v.Now()/2, int64(17)
-	v.BeginResumedRun(sim.RunOptions{MaxCycles: 1 << 40}, nil, elapsed, funcIssued)
-	if got := v.RunStartDelta(); got != elapsed {
-		t.Errorf("RunStartDelta = %d, want %d", got, elapsed)
-	}
-	if got := v.FuncIssued(); got != funcIssued {
-		t.Errorf("FuncIssued = %d, want %d", got, funcIssued)
-	}
-	v.EndRun()
-}

@@ -68,11 +68,9 @@ func (v *Vault) checkRunControlFunc() error {
 		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions in one phase without sync (budget %d)",
 			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.phaseSteps-1, b)
 	}
-	if b := v.budget.MaxCycles; b > 0 {
-		if v.funcIssued++; v.funcIssued > b {
-			return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions into the run (budget %d)",
-				v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.funcIssued-1, b)
-		}
+	if b := v.budget.MaxCycles; b > 0 && v.Stats.Issued >= b {
+		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions into the run (budget %d)",
+			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.Stats.Issued, b)
 	}
 	if v.interrupt != nil {
 		if v.sinceCheck++; v.sinceCheck >= InterruptEvery {

@@ -91,8 +91,8 @@ type Vault struct {
 	VSM []byte       // vault shared memory backing store
 	CRF []int32      // control-core scalar register file
 
-	// Stats accumulates over the vault's lifetime in simulated cycles
-	// and event counts; the machine diffs snapshots around each run.
+	// Stats counts the current run in simulated cycles and events;
+	// Load zeroes it, so it always covers one run from its start.
 	Stats sim.Stats
 
 	remote Remote
@@ -167,16 +167,12 @@ type Vault struct {
 	limited    bool
 	budget     sim.RunOptions
 	interrupt  func() error
-	runStart   int64 // vault clock when the current run was armed
 	phaseSteps int64 // instructions issued in the current phase
 	sinceCheck int   // instructions since the interrupt hook last ran
 
 	// funcMode runs phases through the functional interpreter (no cycle
-	// accounting; see functional.go). Armed per run by BeginRun;
-	// funcIssued counts issued instructions for the run, standing in
-	// for the clock in MaxCycles budget checks.
-	funcMode   bool
-	funcIssued int64
+	// accounting; see functional.go). Armed per run by BeginRun.
+	funcMode bool
 
 	// memo is the block-level timing memoizer for cycle mode (see
 	// memo.go); memoOff disables it (SetTimingMemo; the machine wires
@@ -311,8 +307,8 @@ func (v *Vault) fetch(pc int) {
 func (v *Vault) PE(pg, pe int) *engine.PE { return v.PGs[pg].PEs[pe] }
 
 // FoldDRAMStats snapshots the per-PG memory controller counters into
-// the vault stats. Controllers accumulate across the vault's lifetime,
-// so this assignment is idempotent.
+// the vault stats. Controllers count from the run's start, like the
+// vault, so this assignment is idempotent.
 func (v *Vault) FoldDRAMStats() {
 	var d dram.Stats
 	for _, pg := range v.PGs {
@@ -354,16 +350,16 @@ func (v *Vault) SetFaultPlan(p *fault.Plan) {
 	}
 }
 
-// Load installs a finalized program and resets core state. Timing state
-// (DRAM bank state, the clock) is preserved so consecutive kernels model
-// a continuously running machine.
+// Load installs a finalized program and starts a run from the state of
+// a vault fresh out of New (see rewind): every run is one offload to a
+// fresh accelerator, so its timing and Stats depend on its own inputs
+// alone, whatever the vault ran before.
 func (v *Vault) Load(p *isa.Program) error {
 	if err := ValidateForLoad(v.Cfg, p); err != nil {
 		return err
 	}
+	v.rewind()
 	v.prog = p
-	v.pc = 0
-	v.inflight = v.inflight[:0]
 	v.done = false
 	// Precompute per-instruction def/use sets so the issue loop's hazard
 	// checks are allocation-free (Defs/Uses build fresh slices per call).
@@ -400,17 +396,16 @@ const InterruptEvery = 1024
 
 // BeginRun arms run control for one machine run: the budget (zero =
 // unlimited) and execution mode in opts, and an optional interrupt
-// hook polled every InterruptEvery issued instructions. Budgets are
-// measured from the vault's current clock — or, in FunctionalMode,
-// from an issued-instruction counter standing in for the clock. The
-// machine calls this after Load and disarms with EndRun.
+// hook polled every InterruptEvery issued instructions. MaxCycles
+// bounds the vault clock, which Load starts at 0 — or, in
+// FunctionalMode, the run's issued-instruction count. The machine
+// calls this after Load (or after restoring a checkpointed run) and
+// disarms with EndRun.
 func (v *Vault) BeginRun(opts sim.RunOptions, interrupt func() error) {
 	v.budget = opts
 	v.interrupt = interrupt
-	v.runStart = v.now
 	v.phaseSteps = 0
 	v.sinceCheck = 0
-	v.funcIssued = 0
 	v.funcMode = opts.Mode == sim.FunctionalMode
 	v.limited = opts.Enabled() || interrupt != nil
 }
@@ -432,10 +427,10 @@ func (v *Vault) checkRunControl() error {
 		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions in one phase without sync (budget %d)",
 			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.phaseSteps-1, b)
 	}
-	if b := v.budget.MaxCycles; b > 0 && v.now-v.runStart >= b {
+	if b := v.budget.MaxCycles; b > 0 && v.now >= b {
 		v.Stats.Cycles = v.now
 		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d cycles into the run (budget %d)",
-			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.now-v.runStart, b)
+			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.now, b)
 	}
 	if v.interrupt != nil {
 		if v.sinceCheck++; v.sinceCheck >= InterruptEvery {
@@ -449,34 +444,43 @@ func (v *Vault) checkRunControl() error {
 	return nil
 }
 
-// Abort abandons the in-flight run and returns the vault to a clean,
-// reusable idle timing state: issued queue and pending remote traffic
-// dropped, clock and TSV timeline rewound to zero, I$ cold, and every
-// per-PG DRAM controller timing-reset. Cumulative statistics and fault
-// event counters are preserved — counters only accumulate (callers diff
-// snapshots), and fault decision streams continue where they left off.
-// The one exception is Stats.Cycles: it mirrors the wall clock (Add
-// max-folds it rather than summing), so it rewinds with the clock to
-// keep post-abort snapshot diffs meaningful.
+// Abort abandons the in-flight run, unloads the program and rewinds
+// the vault to the state of one fresh out of New (see rewind), so it
+// is immediately reusable. The timing memo is flushed.
 func (v *Vault) Abort() {
+	v.rewind()
 	v.prog = nil
+	v.done = true
+	v.FlushTimingMemo()
+	v.EndRun()
+}
+
+// rewind returns the vault to the state New builds, apart from what
+// outlives a run: clock and TSV timeline at 0, I$ cold, issued queue
+// and pending req responses empty, every PG controller Reset (its
+// Stats included), vault Stats zeroed, CRF and DataRF zeroed and
+// AddrRF zeroed except the A0-A3 identifier registers. Bank, PGSM and
+// VSM contents, the fault decision streams, the timing memo with its
+// tallies, and the fast-forward tally survive. Host loading writes
+// only memories, so nothing a run reads from registers can come from
+// an earlier run.
+func (v *Vault) rewind() {
 	v.pc = 0
 	v.inflight = v.inflight[:0]
-	for addr := range v.vsmReady {
-		delete(v.vsmReady, addr)
-	}
-	v.done = true
+	clear(v.vsmReady)
 	v.now = 0
-	v.Stats.Cycles = 0
 	v.tsvFree = 0
 	for i := range v.icache {
 		v.icache[i] = -1
 	}
+	v.Stats = sim.Stats{}
+	clear(v.CRF)
 	for _, pg := range v.PGs {
-		pg.Ctrl.ResetTiming()
+		pg.Ctrl.Reset()
+		for peID, pe := range pg.PEs {
+			pe.ResetRegs(v.CubeID, v.ID, pg.ID, peID)
+		}
 	}
-	v.FlushTimingMemo()
-	v.EndRun()
 }
 
 // RunPhase executes instructions until the program ends (done=true) or a

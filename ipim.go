@@ -223,6 +223,9 @@ func OptionsByName(name string) (Options, error) {
 // distinct Machines are fully independent — running the same Artifact
 // on several Machines concurrently is safe and is how the serving
 // daemon scales (see internal/serve and TestMachinesRunConcurrently).
+// Every run starts from the state of a machine fresh out of NewMachine,
+// apart from memory contents, so a reused Machine reports the Stats a
+// fresh one would (TestMachineReuseReportsPerRunStats).
 func NewMachine(cfg Config) (*Machine, error) { return cube.New(cfg) }
 
 // Compile maps a pipeline onto the machine configuration.

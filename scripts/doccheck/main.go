@@ -8,8 +8,8 @@
 //	go run ./scripts/doccheck [pkgdir ...]
 //
 // With no arguments it checks the repo's documented core: the root
-// ipim package, internal/sim, internal/cube, internal/vault and
-// internal/noc. An
+// ipim package, internal/sim, internal/cube, internal/vault,
+// internal/noc and internal/dram. An
 // allowlist (allow below) exempts identifiers whose meaning is fully
 // carried by a group comment or by the field name itself; keep it
 // small and justified.
@@ -28,7 +28,7 @@ import (
 
 // defaultDirs are the packages the godoc pass covers (relative to the
 // repo root; see docs/ARCHITECTURE.md).
-var defaultDirs = []string{".", "internal/sim", "internal/cube", "internal/vault", "internal/noc"}
+var defaultDirs = []string{".", "internal/sim", "internal/cube", "internal/vault", "internal/noc", "internal/dram"}
 
 // allow exempts "pkgdir:Identifier" pairs. Each entry needs a reason.
 var allow = map[string]string{

@@ -131,3 +131,50 @@ func TestResumeFromMidRunCheckpoint(t *testing.T) {
 		t.Errorf("second Resume = %v, want ErrNoResume", err)
 	}
 }
+
+// TestResumedFunctionalBudgetCountsFromRunStart: a functional run's
+// MaxCycles bounds the run's issued instructions from its start, so a
+// run checkpointed without a budget and resumed under one trips exactly
+// where an uninterrupted run under that budget does, not a resume's
+// worth of instructions later.
+func TestResumedFunctionalBudgetCountsFromRunStart(t *testing.T) {
+	// Two 42-instruction phases around one barrier: 85 issues in all.
+	prog := mustAssemble(t, `
+seti_crf c1, #20
+seti_crf c2, =a
+a:
+calc_crf isub c1, c1, #1
+cjump c1, c2
+sync 0
+seti_crf c1, #20
+seti_crf c2, =b
+b:
+calc_crf isub c1, c1, #1
+cjump c1, c2
+`)
+	budget := sim.RunOptions{Mode: sim.FunctionalMode, MaxCycles: 60}
+	_, want := newTinyMachine(t).RunVaultContext(context.Background(), 0, 0, prog, budget)
+	if !errors.Is(want, sim.ErrCycleBudget) {
+		t.Fatalf("budgeted run: err = %v, want ErrCycleBudget", want)
+	}
+
+	var ck []byte
+	opts := sim.RunOptions{Mode: sim.FunctionalMode, CheckpointEvery: 1, CheckpointSink: func(data []byte) error {
+		ck = append(ck[:0], data...)
+		return nil
+	}}
+	if _, err := newTinyMachine(t).RunVaultContext(context.Background(), 0, 0, prog, opts); err != nil {
+		t.Fatal(err)
+	}
+	m, err := RestoreMachine(bytes.NewReader(ck), sim.TestTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Vault(0, 0).Stats.Issued; got != 43 {
+		t.Fatalf("last checkpoint holds %d issues, want 43 (the barrier)", got)
+	}
+	_, err = m.ResumeContext(context.Background(), sim.RunOptions{MaxCycles: budget.MaxCycles})
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("resumed under the budget: err = %v, want %v", err, want)
+	}
+}

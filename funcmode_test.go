@@ -7,16 +7,16 @@ package ipim
 //     functional interpreter must produce the same pixels, histogram
 //     bins, and issued-instruction counts as the cycle-accurate
 //     simulator — with Cycles pinned to zero and no timing counters.
-//   - The block timing memoizer must be a pure host-time optimization
-//     of cycle mode: a memoized run and a stepwise run
+//   - The run-level timing memo must be a pure host-time optimization
+//     of cycle mode: a memoized run and an unmemoized one
 //     (SetTimingMemo(false)) must agree bit for bit on the FULL
-//     sim.Stats and the output, and the cache must be bypassed or
-//     flushed — never consulted stale — under fault plans, budgets,
-//     Reset, and DRAM policy swaps.
+//     sim.Stats and the output, on any input image, and the memo must
+//     be bypassed or flushed — never consulted stale — under fault
+//     plans, budgets, Reset, and DRAM policy swaps.
 //
 // These are the safety nets behind every execFunc case in
-// internal/vault/functional.go and every replayBlock delta in
-// internal/vault/memo.go.
+// internal/vault/functional.go and every record in
+// internal/cube/memo.go.
 
 import (
 	"context"
@@ -184,11 +184,13 @@ func TestFunctionalSerialParallelIdentical(t *testing.T) {
 // TestMemoizedMatchesStepwiseRandomMatrix randomizes the machine shape,
 // page/scheduling policies, workload, and fault rate, and runs each
 // draw three times back-to-back on one machine — the pooled-reuse
-// pattern under which blocks recur — at worker counts 1 and 4. Every
-// run must agree bit for bit, stats and output, between the memoized
-// machine and a SetTimingMemo(false) one; across the matrix the cache
-// must score real hits (otherwise the differential is vacuous). The
-// rand stream is fixed-seed: every run tests the same matrix.
+// pattern under which runs recur — at worker counts 1 and 4, each run
+// on its own image, so every hit is checked on pixels the recorded run
+// never saw. Every run must agree bit for bit, stats and output,
+// between the memoized machine and a SetTimingMemo(false) one; across
+// the matrix the cache must score real hits (otherwise the
+// differential is vacuous). The rand stream is fixed-seed: every run
+// tests the same matrix.
 func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	workloads := []string{"Brighten", "GaussianBlur", "Shift", "Histogram", "Downsample", "Upsample"}
@@ -215,8 +217,8 @@ func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img := Synth(2*wl.TestW, 2*wl.TestH, seed)
-		art, err := Compile(&cfg, wl.Build().Pipe, img.W, img.H, Opt)
+		w, h := 2*wl.TestW, 2*wl.TestH
+		art, err := Compile(&cfg, wl.Build().Pipe, w, h, Opt)
 		if err != nil {
 			// Some draws are legitimately incompatible (the compiler
 			// rejects shapes whose PE count does not divide the tile
@@ -246,6 +248,7 @@ func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 			memoOn.SetFaultPlan(plan)
 			memoOff.SetFaultPlan(plan)
 			for run := 0; run < 3; run++ {
+				img := Synth(w, h, seed+uint64(run))
 				mStats, mOut := modeRun(t, memoOn, art, img, histogram, CycleMode)
 				sStats, sOut := modeRun(t, memoOff, art, img, histogram, CycleMode)
 				if !reflect.DeepEqual(mStats, sStats) {

@@ -9,9 +9,10 @@ package cube
 //  1. configuration digest (rejects restores onto a mismatched machine)
 //  2. fault plan (so RestoreMachine needs no plan argument and the
 //     decision streams pick up exactly where they left off)
-//  3. deduplicated program table (vaults often share one *isa.Program;
-//     pointer sharing is restored so memo keys and artifact identity
-//     behave as before the checkpoint)
+//  3. deduplicated program table (vaults often share one *isa.Program,
+//     and restore rebuilds that sharing; restored programs are new
+//     pointers, so no timing-memo record, which is keyed on program
+//     identity, can match them)
 //  4. one vault image per vault, in (cube, vault) order
 //  5. link state for every per-source port shard: each cube mesh's
 //     shard, then the SERDES shard, in (cube, vault) order
@@ -29,9 +30,11 @@ package cube
 // repository root: run-to-barrier-N → checkpoint → restore onto a fresh
 // machine → ResumeContext must match the uninterrupted run bit for bit
 // in pixels, sim.Stats and fault counters, at any worker count, in
-// fast-forward and stepwise modes, with or without the timing memoizer
-// (which is flushed on restore — its blocks belong to the abandoned
-// timeline's controller snapshots).
+// fast-forward and stepwise modes, with or without the timing memo.
+// The memo never meets a checkpoint: a run with a checkpoint sink
+// bypasses it (a checkpoint holds cycle-mode timing state that a
+// functional replay never builds), ResumeContext never consults it,
+// and Restore flushes it through SetFaultPlan.
 
 import (
 	"context"
@@ -185,7 +188,7 @@ func (m *Machine) checkpointPayload() []byte {
 // CheckpointBytes returned). The whole payload is decoded and validated
 // first; on any error the machine is untouched. On success any
 // checkpointed in-progress run is armed for ResumeContext. The timing
-// memoizer is flushed on every vault.
+// memo is flushed.
 func (m *Machine) Restore(data []byte) error {
 	payload, err := ckpt.Open(data)
 	if err != nil {
@@ -402,10 +405,6 @@ func (m *Machine) ResumeContext(ctx context.Context, opts sim.RunOptions) (sim.S
 	}
 	if opts.CheckpointEvery > 0 {
 		run.CheckpointEvery = opts.CheckpointEvery
-	}
-	interrupt := makeInterrupt(ctx)
-	for _, v := range active {
-		v.BeginRun(run, interrupt)
 	}
 	return m.finishRun(ctx, rs.keys, active, run)
 }

@@ -74,9 +74,10 @@ type Machine struct {
 	// IPIM_NO_FF=1 is set in the environment.
 	stepwise bool
 
-	// memoOff disables the block timing memoizer on every vault. Set
-	// via SetTimingMemo; forced on when IPIM_NO_MEMO=1 is set in the
-	// environment.
+	// memo is the run-level timing memo (memo.go); memoOff disables it.
+	// Set via SetTimingMemo; forced off when IPIM_NO_MEMO=1 is set in
+	// the environment.
+	memo    runMemo
 	memoOff bool
 
 	// fplan is the fault plan attached via SetFaultPlan (nil = none),
@@ -134,38 +135,29 @@ func New(cfg sim.Config) (*Machine, error) {
 	return m, nil
 }
 
-// SetTimingMemo enables (the default) or disables the block-level
-// timing memoizer on every vault; disabling also flushes every cached
-// block. Memoized and unmemoized cycle runs produce bit-identical
-// sim.Stats and outputs (the differential tests at the repository root
-// pin this); the switch exists as the reference semantics those tests
-// compare against, mirroring SetFastForward. IPIM_NO_MEMO=1 in the
-// environment forces it off at construction. Not safe to call during
-// an active Run.
+// SetTimingMemo enables (the default) or disables the run-level timing
+// memo (see memo.go); disabling also flushes every record. Memoized and
+// unmemoized cycle runs produce bit-identical sim.Stats and outputs
+// (the differential tests at the repository root pin this); the switch
+// exists as the reference semantics those tests compare against,
+// mirroring SetFastForward. IPIM_NO_MEMO=1 in the environment forces it
+// off at construction. Not safe to call during an active Run.
 func (m *Machine) SetTimingMemo(on bool) {
 	m.memoOff = !on
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			v.SetTimingMemo(on)
-		}
+	if !on {
+		m.memo.flush()
 	}
 }
 
-// TimingMemo reports whether the block timing memoizer is enabled.
+// TimingMemo reports whether the run-level timing memo is enabled.
 func (m *Machine) TimingMemo() bool { return !m.memoOff }
 
-// TimingMemoStats totals the vaults' memoizer hit and miss counts over
-// the machine's lifetime (host-side diagnostics, not part of
-// sim.Stats).
+// TimingMemoStats reports the timing memo's hit and miss counts over
+// the machine's lifetime: of the runs eligible to consult it, those
+// answered from a record and those simulated in full (host-side
+// diagnostics, not part of sim.Stats).
 func (m *Machine) TimingMemoStats() (hits, misses int64) {
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			h, ms := v.TimingMemoStats()
-			hits += h
-			misses += ms
-		}
-	}
-	return hits, misses
+	return m.memo.hits, m.memo.misses
 }
 
 // SetFastForward enables (the default) or disables idle-cycle
@@ -198,22 +190,21 @@ func (m *Machine) SetDRAMPolicy(page dram.PagePolicy, sched dram.SchedPolicy) {
 			for _, pg := range v.PGs {
 				pg.Ctrl.SetPolicies(page, sched)
 			}
-			// Policies are part of every memo block's key, so stale
-			// blocks could never match — but a policy swap means the
-			// cached timings are for schedules the caller no longer
-			// wants evaluated; drop them.
-			v.FlushTimingMemo()
 		}
 	}
+	// Recorded runs were timed under the old policies.
+	m.memo.flush()
 }
 
 // FastForwardedCycles totals, over every vault, the idle cycles crossed
 // in event jumps without simulating them individually (simulated
 // cycles, cumulative over the machine's lifetime; zero with
-// fast-forward disabled). Diagnostic only — deliberately not part of
+// fast-forward disabled). A run answered by the timing memo counts the
+// cycles its recorded run skipped, so the total reads the same with
+// the memo on or off. Diagnostic only — deliberately not part of
 // sim.Stats, which is bit-identical in both modes.
 func (m *Machine) FastForwardedCycles() int64 {
-	var ff int64
+	ff := m.memo.ff
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
 			ff += v.FastForwardedCycles()
@@ -243,9 +234,11 @@ func (m *Machine) Parallelism() int { return m.parallelism }
 // stable component coordinates and event counters are owned per
 // component, so the injected faults — like everything else the machine
 // computes — are bit-identical across serial and parallel schedules.
-// Not safe to call during an active Run.
+// Attaching or detaching flushes the timing memo. Not safe to call
+// during an active Run.
 func (m *Machine) SetFaultPlan(p *fault.Plan) {
 	m.fplan = p
+	m.memo.flush()
 	for c := range m.Vaults {
 		for vid, v := range m.Vaults[c] {
 			v.SetFaultPlan(p)
@@ -392,6 +385,13 @@ func (m *Machine) Run(programs map[[2]int]*isa.Program) (sim.Stats, error) {
 // cases the machine has been Reset and is immediately reusable. A
 // RunContext whose context never expires is bit-identical to Run with
 // the same opts — the hooks are pure control, touching no timed state.
+//
+// An eligible cycle-mode run whose programs the timing memo has
+// recorded (see memo.go) executes in FunctionalMode and returns the
+// recorded Stats. Each active Vault.Stats then holds the functional
+// replay's counts, not cycle-mode ones; no non-test code reads
+// per-vault Stats after a machine run — the returned Stats are the
+// run's account.
 func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Program, opts sim.RunOptions) (sim.Stats, error) {
 	// Fix the vault order up front: loading, stepping, error selection
 	// and stats folding all walk vaults in ascending (cube, vault)
@@ -409,12 +409,14 @@ func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Progr
 		return keys[i][1] < keys[j][1]
 	})
 	var active []*vault.Vault
+	var progs []*isa.Program
 	for _, key := range keys {
 		v := m.Vaults[key[0]][key[1]]
 		if err := v.Load(programs[key]); err != nil {
 			return sim.Stats{}, fmt.Errorf("cube: vault %v: %w", key, err)
 		}
 		active = append(active, v)
+		progs = append(progs, programs[key])
 	}
 	if len(active) == 0 {
 		return sim.Stats{}, fmt.Errorf("cube: no programs to run")
@@ -422,11 +424,8 @@ func (m *Machine) RunContext(ctx context.Context, programs map[[2]int]*isa.Progr
 	// Load rewound every active vault; with the link shards rewound too,
 	// a reused Machine reports exactly what a fresh one would.
 	m.resetLinks()
-
-	// Arm run control and drive the phase loop to completion.
-	interrupt := makeInterrupt(ctx)
-	for _, v := range active {
-		v.BeginRun(opts, interrupt)
+	if m.memoEligible(active, opts) {
+		return m.memoRun(ctx, keys, progs, active, opts)
 	}
 	return m.finishRun(ctx, keys, active, opts)
 }
@@ -466,13 +465,18 @@ func runProgress(active []*vault.Vault, functional bool) int64 {
 	return p
 }
 
-// finishRun drives an armed run (BeginRun already called on every
-// active vault) phase by phase to completion, aligning
-// clocks at each barrier and taking periodic checkpoints there when
-// opts arms a sink. It is the shared back half of RunContext and
-// ResumeContext; the run bookkeeping it stashes on the machine is what
-// a mid-run checkpoint serializes. On return the vaults are disarmed.
+// finishRun arms run control on every active vault (loaded, or
+// restored mid-run) and drives the run phase by phase to completion,
+// aligning clocks at each barrier and taking periodic checkpoints there
+// when opts arms a sink. It is the shared back half of RunContext,
+// the timing memo and ResumeContext; the run bookkeeping it stashes on
+// the machine is what a mid-run checkpoint serializes. On return the
+// vaults are disarmed.
 func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.Vault, opts sim.RunOptions) (sim.Stats, error) {
+	interrupt := makeInterrupt(ctx)
+	for _, v := range active {
+		v.BeginRun(opts, interrupt)
+	}
 	m.run = &runSection{keys: keys, opts: opts}
 	defer func() {
 		m.run = nil
@@ -661,11 +665,12 @@ func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 // the state of one fresh out of New (vault.Abort on every vault, and
 // every interconnect shard's timeline and counters zeroed), flushing
 // the timing memo. Attached fault plans and their per-site decision
-// streams, SRAM/DRAM data contents, and configuration (parallelism,
-// fast-forward, timing memo, DRAM policies) survive. Every run already
-// starts fresh, so a completed run needs no Reset; RunContext calls it
-// when a run is cancelled or exhausts its budget, and worker pools
-// call it when recovering a machine from a panic.
+// streams, SRAM/DRAM data contents, configuration (parallelism,
+// fast-forward, the timing-memo switch, DRAM policies) and the memo and
+// fast-forward tallies survive. Every run already starts fresh, so a
+// completed run needs no Reset; RunContext calls it when a run is
+// cancelled or exhausts its budget, and worker pools call it when
+// recovering a machine from a panic.
 func (m *Machine) Reset() {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
@@ -673,6 +678,7 @@ func (m *Machine) Reset() {
 		}
 	}
 	m.resetLinks()
+	m.memo.flush()
 }
 
 // resetLinks zeroes every port shard's link timeline and counters.

@@ -133,6 +133,6 @@ func DecodeCtrlCkpt(d *ckpt.Dec, nBanks int) (*CtrlImage, error) {
 // validation happened in DecodeCtrlCkpt.
 func (c *Controller) ApplyCtrlCkpt(img *CtrlImage, base int64) {
 	c.SetPolicies(img.snap.page, img.snap.sched)
-	c.RestoreTiming(&img.snap, base, true)
+	c.RestoreTiming(&img.snap, base)
 	c.Stats = img.stats
 }

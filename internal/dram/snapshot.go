@@ -2,7 +2,7 @@ package dram
 
 import "fmt"
 
-// Timing snapshots for the vault-level block timing memoizer. A
+// Timing snapshots for controller checkpoints (ckpt.go). A
 // TimingSnapshot is a *canonical* image of the controller's
 // scheduling-relevant state relative to a base cycle: every absolute
 // time is rebased to the given base, and values that can no longer
@@ -10,9 +10,9 @@ import "fmt"
 // enter against times >= base) are normalized away. Two controllers
 // whose canonical snapshots at their respective clocks are equal will
 // schedule any identical future request stream identically, command for
-// command and cycle for cycle (relative to base) — that equivalence is
-// what lets the memoizer key phase timing on snapshots instead of
-// re-simulating.
+// command and cycle for cycle (relative to base) — so a checkpoint
+// taken at a barrier and restored at the same clock resumes exactly
+// the schedule the uninterrupted run follows.
 //
 // Canonicalization rules, each justified by how the field is consumed:
 //
@@ -29,13 +29,10 @@ import "fmt"
 //   - lastAct/lastActGroup are dead once value+tRRDS (resp. tRRDL)
 //     <= base, for the same max() reason; deadness clears the had*
 //     flag so two controllers that differ only in ancient ACT history
-//     compare equal.
+//     capture equal.
 //   - bypassed is live FR-FCFS starvation state and is kept verbatim.
 //   - nextRefresh/refUntil are kept verbatim (relative, possibly
-//     negative). They are deliberately NOT part of CoreEqual: the
-//     memoizer applies a refresh-window rule of its own (see
-//     internal/vault), because requiring exact refresh phase would kill
-//     the hit rate for every block shorter than tREFI.
+//     negative).
 type TimingSnapshot struct {
 	page  PagePolicy
 	sched SchedPolicy
@@ -70,12 +67,11 @@ func relFloor(t, base int64) int64 {
 }
 
 // CaptureTiming writes the controller's canonical timing state relative
-// to base into dst, reusing dst's slices when they have capacity (the
-// memoizer probes every phase; captures must not allocate in steady
-// state). The request queue must be empty — a queued request carries
-// absolute times the canonical form cannot represent — and the method
-// panics otherwise, as the vault only snapshots at phase boundaries
-// where it has drained every controller.
+// to base into dst, reusing dst's slices when they have capacity. The
+// request queue must be empty — a queued request carries absolute times
+// the canonical form cannot represent — and the method panics
+// otherwise, as checkpoints are taken only at phase barriers, where the
+// vault has drained every controller.
 func (c *Controller) CaptureTiming(base int64, dst *TimingSnapshot) {
 	if len(c.queue) != 0 {
 		panic(fmt.Sprintf("dram: CaptureTiming with %d queued requests", len(c.queue)))
@@ -120,60 +116,11 @@ func (c *Controller) CaptureTiming(base int64, dst *TimingSnapshot) {
 	dst.refUntil = c.refUntil - base
 }
 
-// Clone returns a deep copy of the snapshot (for storing in a memo
-// block after a scratch capture).
-func (s *TimingSnapshot) Clone() TimingSnapshot {
-	out := *s
-	out.banks = append([]bankSnap(nil), s.banks...)
-	out.actTimes = append([]int64(nil), s.actTimes...)
-	out.lastActGroup = append([]int64(nil), s.lastActGroup...)
-	out.hadActGroup = append([]bool(nil), s.hadActGroup...)
-	return out
-}
-
-// CoreEqual reports whether two canonical snapshots describe the same
-// scheduling state *excluding* the refresh epoch (nextRefresh/refUntil),
-// which the memoizer matches under its own windowing rule.
-func (s *TimingSnapshot) CoreEqual(o *TimingSnapshot) bool {
-	if s.page != o.page || s.sched != o.sched || s.bypassed != o.bypassed ||
-		s.hadAct != o.hadAct || s.lastAct != o.lastAct ||
-		len(s.banks) != len(o.banks) || len(s.actTimes) != len(o.actTimes) ||
-		len(s.lastActGroup) != len(o.lastActGroup) {
-		return false
-	}
-	for i := range s.banks {
-		if s.banks[i] != o.banks[i] {
-			return false
-		}
-	}
-	for i := range s.actTimes {
-		if s.actTimes[i] != o.actTimes[i] {
-			return false
-		}
-	}
-	for i := range s.lastActGroup {
-		if s.lastActGroup[i] != o.lastActGroup[i] || s.hadActGroup[i] != o.hadActGroup[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RefreshRel returns the snapshot's refresh epoch relative to its base:
-// the next refresh boundary and the end of any in-progress refresh
-// blackout (values <= 0 are in the past).
-func (s *TimingSnapshot) RefreshRel() (nextRefresh, refUntil int64) {
-	return s.nextRefresh, s.refUntil
-}
-
 // RestoreTiming rewrites the controller's timing state from a canonical
-// snapshot rebased to base. When refresh is false the controller's own
-// refresh epoch (nextRefresh/refUntil) is left untouched — the
-// memoizer's no-refresh-window rule guarantees the recorded block did
-// not move it. The request queue must be empty (phase boundaries drain
-// it); Stats are not part of timing state and are managed by the
-// caller.
-func (c *Controller) RestoreTiming(s *TimingSnapshot, base int64, refresh bool) {
+// snapshot rebased to base. The request queue must be empty (phase
+// boundaries drain it); Stats are not part of timing state and are
+// managed by the caller.
+func (c *Controller) RestoreTiming(s *TimingSnapshot, base int64) {
 	if len(c.queue) != 0 {
 		panic(fmt.Sprintf("dram: RestoreTiming with %d queued requests", len(c.queue)))
 	}
@@ -204,41 +151,6 @@ func (c *Controller) RestoreTiming(s *TimingSnapshot, base int64, refresh bool) 
 		}
 	}
 	c.bypassed = s.bypassed
-	if refresh {
-		c.nextRefresh = s.nextRefresh + base
-		c.refUntil = s.refUntil + base
-	}
-}
-
-// Add accumulates o into s field for field. The memoizer uses it to
-// apply a recorded block's controller-counter delta on a cache hit.
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Activates += o.Activates
-	s.Precharges += o.Precharges
-	s.Refreshes += o.Refreshes
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.QueueFullStalls += o.QueueFullStalls
-	s.BusyCycles += o.BusyCycles
-	s.ECCCorrected += o.ECCCorrected
-	s.ECCUncorrected += o.ECCUncorrected
-}
-
-// Delta returns s - o field for field (the counters one recorded block
-// contributed between two snapshots of a controller's Stats).
-func (s Stats) Delta(o Stats) Stats {
-	s.Reads -= o.Reads
-	s.Writes -= o.Writes
-	s.Activates -= o.Activates
-	s.Precharges -= o.Precharges
-	s.Refreshes -= o.Refreshes
-	s.RowHits -= o.RowHits
-	s.RowMisses -= o.RowMisses
-	s.QueueFullStalls -= o.QueueFullStalls
-	s.BusyCycles -= o.BusyCycles
-	s.ECCCorrected -= o.ECCCorrected
-	s.ECCUncorrected -= o.ECCUncorrected
-	return s
+	c.nextRefresh = s.nextRefresh + base
+	c.refUntil = s.refUntil + base
 }

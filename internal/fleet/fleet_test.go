@@ -275,8 +275,8 @@ func TestStreamStickyAcrossRequests(t *testing.T) {
 }
 
 // TestFleetFailoverOnDeadWorker: a registered-then-vanished worker
-// (connection refused) is marked down on first contact and its keys
-// fail over transparently; the TTL sweep keeps it down.
+// (connection refused) is marked down on first contact and a request
+// it owns fails over transparently to the live worker.
 func TestFleetFailoverOnDeadWorker(t *testing.T) {
 	f := newTestFleet(t, 1, nil)
 	// Hand-register a corpse: reserved a port, then closed it.
@@ -290,31 +290,31 @@ func TestFleetFailoverOnDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive enough distinct keys that some must land on the corpse.
-	sawFailover := false
-	for i := 0; i < 8; i++ {
-		url := f.routerTS.URL + "/v1/process?workload=Brighten&max_cycles=" + fmt.Sprint(1000000+i)
-		status, hdr, body := post(t, url, pgmFrames(t, 1), nil)
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, status, body)
-		}
-		if hdr.Get("X-Ipim-Worker") == corpse {
-			t.Fatalf("request %d claims it was served by the dead worker", i)
-		}
-		if scrapeRouterMetric(t, f.routerTS.URL, "ipim_router_failovers_total") >= 1 {
-			sawFailover = true
+	// Pick a request whose key the ring places on the corpse. Table II
+	// names times compiler options give 50 keys, so one lands there on
+	// any placement but a vanishingly unlikely one.
+	body := pgmFrames(t, 1)
+	url := ""
+search:
+	for _, wl := range ipim.Workloads() {
+		for _, opts := range ipim.OptionNames() {
+			u := f.routerTS.URL + "/v1/process?workload=" + wl.Name + "&opts=" + opts
+			key := f.rt.routingKey(httptest.NewRequest(http.MethodPost, u, nil), body)
+			if owner, _ := f.rt.reg.Pick(key); owner == corpse {
+				url = u
+				break search
+			}
 		}
 	}
-	// The corpse's keys all rehash to the live worker; whether any of
-	// the 8 keys hashed to the corpse first is placement-dependent, so
-	// force one: mark it ready again and hit its key directly.
-	if !sawFailover {
-		f.rt.reg.Beat(corpse, StateReady)
-		post(t, f.routerTS.URL+"/v1/process?workload=Brighten", pgmFrames(t, 1), nil)
-		post(t, f.routerTS.URL+"/v1/process?workload=GaussianBlur", pgmFrames(t, 1), nil)
-		if scrapeRouterMetric(t, f.routerTS.URL, "ipim_router_failovers_total") < 1 {
-			t.Skip("no key landed on the corpse; placement-dependent, covered by the differential gate")
-		}
+	if url == "" {
+		t.Fatal("no Table II request key lands on the dead worker")
+	}
+	_, hdr, _ := post(t, url, body, nil)
+	if got := hdr.Get("X-Ipim-Worker"); got != f.workerURL[0] {
+		t.Errorf("request owned by the dead worker was served by %q, want the live %s", got, f.workerURL[0])
+	}
+	if n := scrapeRouterMetric(t, f.routerTS.URL, "ipim_router_failovers_total"); n < 1 {
+		t.Errorf("ipim_router_failovers_total = %v after a request to the dead worker; want >= 1", n)
 	}
 }
 

@@ -99,8 +99,8 @@ func newMetrics(s *Server) *metrics {
 	mt.streamFrames = reg.Counter("ipim_stream_frames_total", "Output frames delivered on /v1/stream.")
 	mt.simCycles = reg.Counter("ipim_simulated_cycles_total", "Accelerator cycles simulated for served requests.")
 	mt.simEnergyPJ = reg.FloatCounter("ipim_simulated_energy_picojoules_total", "Simulated accelerator energy for served requests.")
-	reg.Func(obs.TypeCounter, "ipim_sim_memo_hits_total", "Cycle-mode vault phases timed by replaying a memoized block.", p.memoHits.Load)
-	reg.Func(obs.TypeCounter, "ipim_sim_memo_misses_total", "Cycle-mode vault phases simulated in full and recorded by the memoizer.", p.memoMisses.Load)
+	reg.Func(obs.TypeCounter, "ipim_sim_memo_hits_total", "Cycle-mode runs answered from the timing memo by a functional replay.", p.memoHits.Load)
+	reg.Func(obs.TypeCounter, "ipim_sim_memo_misses_total", "Cycle-mode runs eligible for the timing memo but simulated in full.", p.memoMisses.Load)
 	reg.Func(obs.TypeCounter, "ipim_sim_fastforwarded_cycles_total", "Idle simulated cycles skipped by fast-forward instead of stepped.", p.ffCycles.Load)
 
 	m := s.meter

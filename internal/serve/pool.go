@@ -66,7 +66,7 @@ type pool struct {
 	budgetExceeded atomic.Int64 // jobs aborted by the cycle budget
 	busyNS         atomic.Int64 // cumulative busy time of finished jobs
 
-	// Simulator-internal effect of the block timing memoizer and of
+	// Simulator-internal effect of the run-level timing memo and of
 	// idle-cycle fast-forward, summed over the jobs each machine ran.
 	memoHits, memoMisses, ffCycles atomic.Int64
 

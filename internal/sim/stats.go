@@ -107,31 +107,8 @@ func (s *Stats) Add(o *Stats) {
 	walkCounters(s, o, func(d *int64, src int64) { *d += src })
 }
 
-// AddCounters adds every int64 leaf of o into s field for field —
-// including Cycles and NoC.MaxLatency, which Add folds specially. The
-// timing memoizer uses it to apply a cached per-block counter delta to
-// one vault's stats, where the block's Cycles contribution really is a
-// plain increment of that vault's own clock (the caller re-assigns
-// Cycles from the clock afterwards, so the special fields just need a
-// lossless round trip with SubCounters).
-func (s *Stats) AddCounters(o *Stats) {
-	s.Cycles += o.Cycles
-	s.NoC.MaxLatency += o.NoC.MaxLatency
-	walkCounters(s, o, func(d *int64, src int64) { *d += src })
-}
-
-// SubCounters subtracts every int64 leaf of o from s field for field,
-// the exact inverse of AddCounters. The timing memoizer uses it to
-// compute a block's counter delta from entry/exit snapshots of one
-// vault's stats.
-func (s *Stats) SubCounters(o *Stats) {
-	s.Cycles -= o.Cycles
-	s.NoC.MaxLatency -= o.NoC.MaxLatency
-	walkCounters(s, o, func(d *int64, src int64) { *d -= src })
-}
-
-// foldSpecial names the field paths Add, AddCounters and SubCounters
-// handle explicitly (see the comment above); walkCounters skips them.
+// foldSpecial names the field paths Add handles explicitly (see the
+// comment above); walkCounters skips them.
 var foldSpecial = map[string]bool{
 	"Cycles":         true,
 	"NoC.MaxLatency": true,

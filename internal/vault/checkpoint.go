@@ -216,9 +216,8 @@ func DecodeVaultCkpt(d *ckpt.Dec, cfg *sim.Config, progs []*isa.Program) (*Image
 // ApplyCkpt rewrites the vault's architectural state from a validated
 // image. The caller (the machine) must have re-attached the fault plan
 // first — SetFaultPlan resets the decision-stream counters this method
-// then restores. The timing memoizer is flushed: its blocks were
-// recorded against the abandoned timeline. Never fails: all validation
-// happened in DecodeVaultCkpt.
+// then restores. Never fails: all validation happened in
+// DecodeVaultCkpt.
 func (v *Vault) ApplyCkpt(img *Image) {
 	v.prog = nil
 	if img.prog != nil {
@@ -253,7 +252,6 @@ func (v *Vault) ApplyCkpt(img *Image) {
 			pe.RestoreBank(pj.bank)
 		}
 	}
-	v.FlushTimingMemo()
 }
 
 // Program returns the vault's loaded program (nil when idle). The

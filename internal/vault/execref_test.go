@@ -1,7 +1,7 @@
 package vault
 
-// Reference checks for the shared ALU kernels. Cycle mode, functional
-// mode and memo replay all apply comp and calc_arf through
+// Reference checks for the shared ALU kernels. Cycle mode and
+// functional mode both apply comp and calc_arf through
 // execFuncComp / execFuncCalcARF, so a whole-program differential
 // between the modes compares those kernels with themselves. These tests
 // compare them instead with the plain per-PE interpreters

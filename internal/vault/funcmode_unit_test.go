@@ -1,15 +1,14 @@
 package vault
 
-// In-package unit tests for the functional execution mode and the block
-// timing memoizer. The root-package differential matrix
-// (funcmode_test.go) pins whole-machine equivalence; these tests pin the
-// pieces directly: every specialized comp kernel against isa.EvalLane on
-// adversarial bit patterns, each execFunc dispatch path run under the
-// cycle-mode issue loop and under functional mode on a single vault
-// (both share the executor, so these pin control flow, pc handling and
-// error wrapping; execref_test.go pins the kernels themselves), the
-// functional budget reinterpretation, and the memoizer's
-// hit/flush/bypass machinery.
+// In-package unit tests for the functional execution mode. The
+// root-package differential matrix (funcmode_test.go) pins
+// whole-machine equivalence; these tests pin the pieces directly: every
+// specialized comp kernel against isa.EvalLane on adversarial bit
+// patterns, each execFunc dispatch path run under the cycle-mode issue
+// loop and under functional mode on a single vault (both share the
+// executor, so these pin control flow, pc handling and error wrapping;
+// execref_test.go pins the kernels themselves), and the functional
+// budget reinterpretation.
 
 import (
 	"bytes"
@@ -20,7 +19,6 @@ import (
 	"testing"
 
 	"ipim/internal/engine"
-	"ipim/internal/fault"
 	"ipim/internal/isa"
 	"ipim/internal/sim"
 )
@@ -439,189 +437,5 @@ func TestFunctionalInterruptHook(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("interrupt hook called %d times, want 2", calls)
-	}
-}
-
-// memoTestSrc is a two-phase program whose reloads leave CRF/ARF and the
-// controllers in a repeatable steady state, so re-running it on the same
-// vault (the serve/autotune pattern) can hit the block cache.
-const memoTestSrc = `
-ld_rf d0, 0x0, sm=*
-comp iadd vv d1, d0, d0, vm=0xf, sm=*
-st_rf d1, 0x40, sm=*
-sync 1
-ld_rf d2, 0x40, sm=*
-`
-
-// runLoaded reloads p and runs it to completion on v.
-func runLoaded(t *testing.T, v *Vault, p *isa.Program) {
-	t.Helper()
-	if err := v.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		done, err := v.RunPhase()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			return
-		}
-	}
-}
-
-// TestTimingMemoHitsAndStaysBitIdentical reruns one program on a
-// memoized vault and a memo-disabled vault: the memoizer must start
-// replaying blocks after the entry states converge, while every stat —
-// including the clock — stays bit-identical to full re-simulation.
-func TestTimingMemoHitsAndStaysBitIdentical(t *testing.T) {
-	cfg := sim.TestTiny()
-	p := assembleProg(t, memoTestSrc)
-	vm := New(&cfg, 0, 0, nil) // memoizer on by default
-	vs := New(&cfg, 0, 0, nil)
-	vs.SetTimingMemo(false)
-	const runs = 5
-	for r := 0; r < runs; r++ {
-		runLoaded(t, vm, p)
-		runLoaded(t, vs, p)
-	}
-	hits, misses := vm.TimingMemoStats()
-	if hits == 0 {
-		t.Fatalf("no memo hits after %d identical reloads (misses %d)", runs, misses)
-	}
-	if misses == 0 {
-		t.Fatal("memoizer reported zero misses; the first run cannot hit")
-	}
-	h, m := vs.TimingMemoStats()
-	if h != 0 || m != 0 {
-		t.Fatalf("disabled memoizer recorded activity: hits=%d misses=%d", h, m)
-	}
-	vm.FoldDRAMStats()
-	vs.FoldDRAMStats()
-	if !reflect.DeepEqual(vm.Stats, vs.Stats) {
-		t.Fatalf("memoized stats diverged from stepwise:\n memo %+v\n full %+v", vm.Stats, vs.Stats)
-	}
-	compareArch(t, vs, vm)
-}
-
-func TestTimingMemoFlushAndDisable(t *testing.T) {
-	cfg := sim.TestTiny()
-	p := assembleProg(t, memoTestSrc)
-	v := New(&cfg, 0, 0, nil)
-	for r := 0; r < 4; r++ {
-		runLoaded(t, v, p)
-	}
-	hits, misses := v.TimingMemoStats()
-	if v.memo.blocks == nil {
-		t.Fatal("no blocks cached after repeated runs")
-	}
-
-	// Flush drops the blocks but preserves the lifetime counters, and
-	// the next run records fresh misses.
-	v.FlushTimingMemo()
-	if v.memo.blocks != nil || v.memo.size != 0 {
-		t.Fatal("flush left blocks behind")
-	}
-	if h, m := v.TimingMemoStats(); h != hits || m != misses {
-		t.Fatalf("flush reset counters: %d/%d -> %d/%d", hits, misses, h, m)
-	}
-	runLoaded(t, v, p)
-	if _, m := v.TimingMemoStats(); m <= misses {
-		t.Fatalf("post-flush run did not miss (misses still %d)", m)
-	}
-
-	// Disabling freezes the counters entirely and empties the cache.
-	v.SetTimingMemo(false)
-	hits, misses = v.TimingMemoStats()
-	runLoaded(t, v, p)
-	if h, m := v.TimingMemoStats(); h != hits || m != misses {
-		t.Fatalf("disabled memoizer still counting: %d/%d -> %d/%d", hits, misses, h, m)
-	}
-	v.SetTimingMemo(true)
-	runLoaded(t, v, p)
-	if _, m := v.TimingMemoStats(); m == misses {
-		t.Fatal("re-enabled memoizer inactive")
-	}
-}
-
-// TestMemoUsableGating walks every condition that must bypass the block
-// cache: disabled memoizer, stepwise timing, an attached tracer, a fault
-// plan, and an armed budget.
-func TestMemoUsableGating(t *testing.T) {
-	cfg := sim.TestTiny()
-	v := New(&cfg, 0, 0, nil)
-	if !v.memoUsable() {
-		t.Fatal("fresh vault must be memo-usable")
-	}
-	v.SetTimingMemo(false)
-	if v.memoUsable() {
-		t.Fatal("usable while disabled")
-	}
-	v.SetTimingMemo(true)
-
-	v.SetFastForward(false)
-	if v.memoUsable() {
-		t.Fatal("usable in stepwise mode")
-	}
-	v.SetFastForward(true)
-
-	v.SetTracer(&Tracer{})
-	if v.memoUsable() {
-		t.Fatal("usable with a tracer attached")
-	}
-	v.SetTracer(nil)
-
-	v.SetFaultPlan(&fault.Plan{Seed: 1, DRAMBitFlipRate: 0.5})
-	if v.memoUsable() {
-		t.Fatal("usable with a fault plan")
-	}
-	v.SetFaultPlan(nil)
-
-	v.budget = sim.RunOptions{MaxCycles: 10}
-	if v.memoUsable() {
-		t.Fatal("usable with an armed budget")
-	}
-	v.budget = sim.RunOptions{}
-
-	if !v.memoUsable() {
-		t.Fatal("vault should be memo-usable again after clearing every gate")
-	}
-}
-
-// TestMemoFlushedOnFaultPlanChange pins the invalidation rule: cached
-// timing deltas recorded without a fault plan must not survive one being
-// attached (or detached — the decision stream indexes shift).
-func TestMemoFlushedOnFaultPlanChange(t *testing.T) {
-	cfg := sim.TestTiny()
-	p := assembleProg(t, memoTestSrc)
-	v := New(&cfg, 0, 0, nil)
-	for r := 0; r < 3; r++ {
-		runLoaded(t, v, p)
-	}
-	if v.memo.blocks == nil {
-		t.Fatal("no blocks cached")
-	}
-	v.SetFaultPlan(&fault.Plan{Seed: 7, DRAMBitFlipRate: 0.01})
-	if v.memo.blocks != nil {
-		t.Fatal("fault plan attach did not flush the block cache")
-	}
-	v.SetFaultPlan(nil)
-}
-
-// TestMemoAbortFlushes pins Abort's contract of returning the vault to
-// a clean reusable state with the block cache dropped.
-func TestMemoAbortFlushes(t *testing.T) {
-	cfg := sim.TestTiny()
-	p := assembleProg(t, memoTestSrc)
-	v := New(&cfg, 0, 0, nil)
-	for r := 0; r < 3; r++ {
-		runLoaded(t, v, p)
-	}
-	if v.memo.blocks == nil {
-		t.Fatal("no blocks cached")
-	}
-	v.Abort()
-	if v.memo.blocks != nil {
-		t.Fatal("Abort did not flush the block cache")
 	}
 }

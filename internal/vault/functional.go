@@ -12,12 +12,13 @@ import (
 // applies every instruction's architectural mutations — register files,
 // scratchpads, bank bytes, control flow, and the fault-injection
 // decision stream — but never touches the clock, the issued queue, the
-// DRAM controllers' schedules, the TSV timeline or the NoC. Three
-// callers share it: the cycle-mode issue path (vault.go), which layers
-// hazards and completion timing on top; FunctionalMode runs
-// (runPhaseFunctional); and the timing memoizer's cache-hit replay
-// (memo.go), which re-executes a block functionally and applies
-// recorded timing deltas.
+// DRAM controllers' schedules, the TSV timeline or the NoC. Two callers
+// share it: the cycle-mode issue path (vault.go), which layers hazards
+// and completion timing on top, and FunctionalMode runs
+// (runPhaseFunctional). The machine's run-level timing memo
+// (internal/cube) answers a repeated cycle-mode run with a
+// FunctionalMode run plus the Stats it recorded, so a memo hit computes
+// its outputs here too.
 
 // runPhaseFunctional is RunPhase's FunctionalMode loop: execute to the
 // next sync or end of program with no cycle accounting. Stats carry
@@ -88,8 +89,7 @@ func (v *Vault) checkRunControlFunc() error {
 // applies data effects through it, so outputs, error text and the
 // fault-injection rolls against the vault-owned counters are
 // mode-independent by construction. It deliberately touches no stats:
-// issue() and runPhaseFunctional count issues themselves, and the
-// memoizer's replay path gets every counter from the recorded delta.
+// issue() and runPhaseFunctional count issues themselves.
 func (v *Vault) execFunc(in *isa.Instruction) error {
 	mask := in.SimbMask
 	nPE := v.Cfg.PEsPerVault()

@@ -57,6 +57,10 @@ func (tr *Tracer) Dropped() int64 { return tr.dropped }
 // call during an active run.
 func (v *Vault) SetTracer(tr *Tracer) { v.tracer = tr }
 
+// Traced reports whether a tracer is attached. The machine's timing
+// memo bypasses runs on traced vaults, whose tracers need every issue.
+func (v *Vault) Traced() bool { return v.tracer != nil }
+
 // StallSite aggregates stall cycles at one program counter. All cycle
 // fields are simulated vault cycles; FastForwarded is the portion of
 // Stall crossed in event jumps (see TraceEntry.FastForwarded).

@@ -173,12 +173,6 @@ type Vault struct {
 	// funcMode runs phases through the functional interpreter (no cycle
 	// accounting; see functional.go). Armed per run by BeginRun.
 	funcMode bool
-
-	// memo is the block-level timing memoizer for cycle mode (see
-	// memo.go); memoOff disables it (SetTimingMemo; the machine wires
-	// IPIM_NO_MEMO=1 through it).
-	memo    *timingMemo
-	memoOff bool
 }
 
 // New builds a vault.
@@ -192,7 +186,6 @@ func New(cfg *sim.Config, cubeID, vaultID int, remote Remote) *Vault {
 		remote:   remote,
 		vsmReady: make(map[uint32]int64),
 		done:     true,
-		memo:     &timingMemo{},
 	}
 	for pg := 0; pg < cfg.PGsPerVault; pg++ {
 		v.PGs = append(v.PGs, engine.NewPG(cfg, cubeID, vaultID, pg))
@@ -332,7 +325,6 @@ func (v *Vault) FoldDRAMStats() {
 // resets the vault's fault event counters.
 func (v *Vault) SetFaultPlan(p *fault.Plan) {
 	v.fp = p
-	v.FlushTimingMemo()
 	v.faultN, v.execN = 0, 0
 	v.execSite = 0
 	v.bankSites = nil
@@ -446,12 +438,11 @@ func (v *Vault) checkRunControl() error {
 
 // Abort abandons the in-flight run, unloads the program and rewinds
 // the vault to the state of one fresh out of New (see rewind), so it
-// is immediately reusable. The timing memo is flushed.
+// is immediately reusable.
 func (v *Vault) Abort() {
 	v.rewind()
 	v.prog = nil
 	v.done = true
-	v.FlushTimingMemo()
 	v.EndRun()
 }
 
@@ -460,10 +451,9 @@ func (v *Vault) Abort() {
 // and pending req responses empty, every PG controller Reset (its
 // Stats included), vault Stats zeroed, CRF and DataRF zeroed and
 // AddrRF zeroed except the A0-A3 identifier registers. Bank, PGSM and
-// VSM contents, the fault decision streams, the timing memo with its
-// tallies, and the fast-forward tally survive. Host loading writes
-// only memories, so nothing a run reads from registers can come from
-// an earlier run.
+// VSM contents, the fault decision streams and the fast-forward tally
+// survive. Host loading writes only memories, so nothing a run reads
+// from registers can come from an earlier run.
 func (v *Vault) rewind() {
 	v.pc = 0
 	v.inflight = v.inflight[:0]
@@ -485,10 +475,9 @@ func (v *Vault) rewind() {
 
 // RunPhase executes instructions until the program ends (done=true) or a
 // sync instruction retires (done=false; the machine aligns vaults and
-// calls RunPhase again). Dispatch: FunctionalMode phases run through the
-// functional interpreter (functional.go); cycle-mode phases go through
-// the block timing memoizer when it is usable (memo.go) and the plain
-// issue loop otherwise.
+// calls RunPhase again). FunctionalMode phases run through the
+// functional interpreter (functional.go), cycle-mode phases through the
+// issue loop.
 func (v *Vault) RunPhase() (bool, error) {
 	if v.prog == nil {
 		return true, fmt.Errorf("vault: no program loaded")
@@ -507,18 +496,11 @@ func (v *Vault) RunPhase() (bool, error) {
 	if v.funcMode {
 		return v.runPhaseFunctional()
 	}
-	if v.memoUsable() {
-		return v.memoPhase()
-	}
-	return v.runPhaseCycle(false)
+	return v.runPhaseCycle()
 }
 
-// runPhaseCycle is the cycle-accurate issue loop. With record set, each
-// instruction is also shown to the memoizer's recorder before it issues
-// (the only difference — the issue path itself is shared verbatim, so
-// memoized runs are bit-identical to unmemoized ones on every miss by
-// construction).
-func (v *Vault) runPhaseCycle(record bool) (bool, error) {
+// runPhaseCycle is the cycle-accurate issue loop.
+func (v *Vault) runPhaseCycle() (bool, error) {
 	for {
 		if v.pc >= len(v.prog.Ins) {
 			v.drain()
@@ -541,9 +523,6 @@ func (v *Vault) runPhaseCycle(record bool) (bool, error) {
 			v.now++
 			v.Stats.Cycles = v.now
 			return false, nil
-		}
-		if record {
-			v.memo.note(v, in)
 		}
 		if err := v.issue(in); err != nil {
 			return false, fmt.Errorf("vault %d/%d: pc=%d %s: %w", v.CubeID, v.ID, v.pc, in.Op, err)
@@ -674,8 +653,8 @@ func conflictsWith(e *entry, defs, uses []isa.RegRef) bool {
 
 // issue executes one instruction: hazard and queue-capacity stalls, the
 // architectural effect through the functional executor (execFunc, the
-// same code FunctionalMode and memo replay run), then a timing-only
-// pass that schedules completion. One issue consumes one cycle.
+// same code FunctionalMode runs), then a timing-only pass that
+// schedules completion. One issue consumes one cycle.
 func (v *Vault) issue(in *isa.Instruction) error {
 	issuePC := v.pc
 	issueStart := v.now

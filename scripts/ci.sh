@@ -116,6 +116,7 @@ go test . -run='^$' -fuzz='^FuzzFunctionalVsTiming$' -fuzztime=10s
 go test ./internal/vault -run='^$' -fuzz='^FuzzExecFuncVsEvalLane$' -fuzztime=10s
 go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s
 go test ./internal/compiler -run='^$' -fuzz='^FuzzScheduleVsReference$' -fuzztime=10s
+go test ./internal/autotune -run='^$' -fuzz='^FuzzStoreReplay$' -fuzztime=10s
 
 # Coverage floor over the internal packages' own statements (cmd/ and
 # examples/ mains are exercised end-to-end by the examples smoke test

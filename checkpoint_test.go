@@ -406,13 +406,15 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointRejectsVersion1: checkpoints in the version-1 layout,
-// which still carried per-mesh link images and a second mode byte, and
-// in the version-2 layout, whose run section still carried a baseline
-// Stats snapshot and per-vault budget origins, are refused by their
-// version field before any payload is parsed.
+// which still carried per-mesh link images and a second mode byte, in
+// the version-2 layout, whose run section still carried a baseline
+// Stats snapshot and per-vault budget origins, and in the version-3
+// layout, whose DRAM controller images held times rebased to the vault
+// clock, are refused by their version field before any payload is
+// parsed.
 func TestCheckpointRejectsVersion1(t *testing.T) {
 	cfg := detConfig()
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		data := finalState(t, ckptMachine(t, cfg, 1, true, nil))
 		binary.LittleEndian.PutUint32(data[len("IPIMCKPT"):], version)
 		if _, err := RestoreMachine(bytes.NewReader(data), cfg); !errors.Is(err, ErrCheckpointVersion) {

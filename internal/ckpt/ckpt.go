@@ -37,7 +37,9 @@ import (
 
 // Version is the current checkpoint format version. Bump it on any
 // payload schema change; readers reject other versions with ErrVersion.
-const Version = 3
+// Version 4 holds DRAM controller state verbatim, in absolute cycles;
+// version 3 held it rebased to the vault clock.
+const Version = 4
 
 // magic identifies a checkpoint container.
 const magic = "IPIMCKPT"
@@ -80,12 +82,6 @@ func Seal(payload []byte) []byte {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-}
-
-// Write seals the payload and writes the container to w.
-func Write(w io.Writer, payload []byte) error {
-	_, err := w.Write(Seal(payload))
-	return err
 }
 
 // Open validates a sealed container held fully in memory and returns

@@ -160,7 +160,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	payload := []byte{0, 1, 2, 3, 4}
 	var buf bytes.Buffer
-	if err := Write(&buf, payload); err != nil {
+	if _, err := buf.Write(Seal(payload)); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)

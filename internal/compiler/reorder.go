@@ -97,10 +97,8 @@ const orderLat = 2
 // priorities (exact service times are dynamic).
 func estimateLatency(cfg *sim.Config, in *isa.Instruction) int64 {
 	switch in.Op {
-	case isa.OpComp:
-		return int64(cfg.LatencyOf(compClass(in.ALU)))
-	case isa.OpCalcARF, isa.OpCalcCRF:
-		return int64(cfg.LatencyOf(compClass(in.ALU)))
+	case isa.OpComp, isa.OpCalcARF, isa.OpCalcCRF:
+		return int64(cfg.LatencyOf(sim.ClassOf(in.ALU)))
 	case isa.OpLdRF, isa.OpLdPGSM:
 		return int64(cfg.Timing.TRCD + cfg.Timing.TCL + 1)
 	case isa.OpStRF, isa.OpStPGSM:
@@ -111,21 +109,6 @@ func estimateLatency(cfg *sim.Config, in *isa.Instruction) int64 {
 		return int64(cfg.TTSV + cfg.TVSM + cfg.TDataRF)
 	}
 	return 1
-}
-
-// compClass mirrors the vault's latency classification.
-func compClass(op isa.ALUOp) sim.ALUClass {
-	switch op {
-	case isa.FAdd, isa.FSub, isa.IAdd, isa.ISub, isa.FMin, isa.FMax,
-		isa.IMin, isa.IMax, isa.FCmpLT, isa.FCmpLE, isa.ICmpLT, isa.ICmpEQ,
-		isa.FAbs, isa.FFloor:
-		return sim.ClassAdd
-	case isa.FMul, isa.IMul, isa.FDiv:
-		return sim.ClassMul
-	case isa.FMac, isa.IMac:
-		return sim.ClassMac
-	}
-	return sim.ClassLogic
 }
 
 // regState is the last writer and the readers since it of every

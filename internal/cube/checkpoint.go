@@ -13,18 +13,22 @@ package cube
 //     and restore rebuilds that sharing; restored programs are new
 //     pointers, so no timing-memo record, which is keyed on program
 //     identity, can match them)
-//  4. one vault image per vault, in (cube, vault) order
+//  4. one vault image per vault, in (cube, vault) order, each holding
+//     its DRAM controllers' state verbatim in absolute cycles
 //  5. link state for every per-source port shard: each cube mesh's
 //     shard, then the SERDES shard, in (cube, vault) order
 //  6. the in-progress run, if any: budget, mode and the active vault
 //     set (every run starts from a fresh machine, so the vault images
 //     already hold the run's clocks and counters from its start)
 //
-// Restore follows the decode-then-apply discipline end to end: the
-// whole payload is parsed and validated into images first and only then
-// applied, so a corrupt or truncated checkpoint returns a typed error
-// (wrapping ckpt.ErrCorrupt / ckpt.ErrVersion / ErrCheckpointConfig)
-// and leaves the machine exactly as it was — never half-restored.
+// Every component encodes and decodes its own live fields; there is no
+// second, decoded copy of the state. Restore decodes the payload into a
+// fresh vault set and fresh link shards, built the way New builds them,
+// and swaps them in only once the whole payload has decoded and
+// validated. A corrupt or truncated checkpoint therefore returns a
+// typed error (wrapping ckpt.ErrCorrupt / ckpt.ErrVersion /
+// ErrCheckpointConfig) and leaves the machine exactly as it was —
+// never half-restored.
 //
 // The correctness contract is differential and pinned by tests at the
 // repository root: run-to-barrier-N → checkpoint → restore onto a fresh
@@ -34,7 +38,7 @@ package cube
 // The memo never meets a checkpoint: a run with a checkpoint sink
 // bypasses it (a checkpoint holds cycle-mode timing state that a
 // functional replay never builds), ResumeContext never consults it,
-// and Restore flushes it through SetFaultPlan.
+// and Restore flushes it.
 
 import (
 	"context"
@@ -45,7 +49,6 @@ import (
 	"ipim/internal/ckpt"
 	"ipim/internal/fault"
 	"ipim/internal/isa"
-	"ipim/internal/noc"
 	"ipim/internal/sim"
 	"ipim/internal/vault"
 )
@@ -81,14 +84,12 @@ func configDigest(cfg *sim.Config) string { return fmt.Sprintf("%+v", *cfg) }
 // hook calls it there). A non-quiescent vault is an error, not a panic,
 // so misuse from the public API is recoverable.
 func (m *Machine) Checkpoint(w io.Writer) error {
-	for c := range m.Vaults {
-		for vid, v := range m.Vaults[c] {
-			if !v.Quiescent() {
-				return fmt.Errorf("cube: checkpoint of non-quiescent vault %d/%d (mid-phase)", c, vid)
-			}
-		}
+	data, err := m.CheckpointBytes()
+	if err != nil {
+		return err
 	}
-	return ckpt.Write(w, m.checkpointPayload())
+	_, err = w.Write(data)
+	return err
 }
 
 // CheckpointBytes is Checkpoint into a fresh byte slice (the form the
@@ -183,12 +184,15 @@ func (m *Machine) checkpointPayload() []byte {
 	return e.Bytes()
 }
 
-// Restore rewrites the machine's state in place from a sealed
-// checkpoint container (the bytes a CheckpointSink received or
-// CheckpointBytes returned). The whole payload is decoded and validated
-// first; on any error the machine is untouched. On success any
-// checkpointed in-progress run is armed for ResumeContext. The timing
-// memo is flushed.
+// Restore replaces the machine's vaults and link shards with ones
+// decoded from a sealed checkpoint container (the bytes a
+// CheckpointSink received or CheckpointBytes returned), and its fault
+// plan with the checkpoint's. The whole payload is decoded into a fresh
+// vault set first; on any error the machine is untouched. On success
+// each vault keeps its predecessor's tracer, the timing memo is
+// flushed, and any checkpointed in-progress run is armed for
+// ResumeContext. Vault pointers taken before a Restore no longer belong
+// to the machine.
 func (m *Machine) Restore(data []byte) error {
 	payload, err := ckpt.Open(data)
 	if err != nil {
@@ -220,8 +224,8 @@ func RestoreMachine(r io.Reader, cfg sim.Config) (*Machine, error) {
 // waiting to be resumed with ResumeContext.
 func (m *Machine) HasResume() bool { return m.resume != nil }
 
-// restorePayload decodes, validates, then applies one checkpoint
-// payload. Decode and validation touch no machine state.
+// restorePayload decodes one checkpoint payload into a fresh fabric
+// and, once all of it has decoded and validated, swaps the fabric in.
 func (m *Machine) restorePayload(payload []byte) error {
 	d := ckpt.NewDec(payload)
 
@@ -270,32 +274,32 @@ func (m *Machine) restorePayload(payload []byte) error {
 		progs = append(progs, p)
 	}
 
-	nVaults := m.Cfg.Cubes * m.Cfg.VaultsPerCube
-	imgs := make([]*vault.Image, 0, nVaults)
-	for i := 0; i < nVaults && d.Err() == nil; i++ {
-		img, err := vault.DecodeVaultCkpt(d, &m.Cfg, progs)
-		if err != nil {
-			return err
-		}
-		imgs = append(imgs, img)
+	if err := d.Err(); err != nil {
+		return err
 	}
 
-	var portImgs [][]*noc.LinkImage // per port: meshes..., serdes
-	for _, ps := range m.ports {
-		for range ps {
-			var shard []*noc.LinkImage
-			for _, mesh := range m.meshes {
-				img, err := noc.DecodeLinkCkpt(d, mesh.Nodes())
-				if err != nil {
-					return err
-				}
-				shard = append(shard, img)
-			}
-			img, err := noc.DecodeLinkCkpt(d, m.serdes.Nodes())
-			if err != nil {
+	// Decode into a fresh fabric with the plan attached first:
+	// attaching resets the fault decision-stream counters the images
+	// then restore.
+	vaults, ports := m.newFabric()
+	attachFaults(vaults, ports, plan)
+	for _, cube := range vaults {
+		for _, v := range cube {
+			if err := v.DecodeCkpt(d, progs); err != nil {
 				return err
 			}
-			portImgs = append(portImgs, append(shard, img))
+		}
+	}
+	for _, ps := range ports {
+		for _, p := range ps {
+			for _, st := range p.mesh {
+				if err := st.DecodeCkpt(d); err != nil {
+					return err
+				}
+			}
+			if err := p.serdes.DecodeCkpt(d); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -308,7 +312,7 @@ func (m *Machine) restorePayload(payload []byte) error {
 			Mode:            sim.Mode(d.U8()),
 		}}
 		nActive := int(d.U32())
-		if d.Err() == nil && (nActive == 0 || nActive > nVaults) {
+		if nVaults := m.Cfg.TotalVaults(); d.Err() == nil && (nActive == 0 || nActive > nVaults) {
 			return fmt.Errorf("cube: checkpoint run section has %d active vaults of %d: %w", nActive, nVaults, ckpt.ErrCorrupt)
 		}
 		for i := 0; i < nActive && d.Err() == nil; i++ {
@@ -334,33 +338,22 @@ func (m *Machine) restorePayload(payload []byte) error {
 				return fmt.Errorf("cube: checkpoint run section vault order broken at %v: %w", k, ckpt.ErrCorrupt)
 			}
 			prev = k
-			if !imgs[k[0]*m.Cfg.VaultsPerCube+k[1]].HasProgram() {
+			if vaults[k[0]][k[1]].Program() == nil {
 				return fmt.Errorf("cube: checkpoint run section vault %v has no program: %w", k, ckpt.ErrCorrupt)
 			}
 		}
 	}
 
-	// Everything validated — apply, infallibly. Plan first: attaching
-	// resets the fault decision-stream counters the images then restore.
-	m.SetFaultPlan(plan)
-	i := 0
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			v.ApplyCkpt(imgs[i])
-			i++
+	// Everything decoded: swap the fabric in, keeping each vault's
+	// tracer. Restored programs are new pointers, so no memo record
+	// could match them; flushing drops the records all the same.
+	for c, cube := range vaults {
+		for vid, v := range cube {
+			v.SetTracer(m.Vaults[c][vid].Tracer())
 		}
 	}
-	pi := 0
-	for _, ps := range m.ports {
-		for _, p := range ps {
-			shard := portImgs[pi]
-			pi++
-			for si, st := range p.mesh {
-				st.ApplyLinkCkpt(shard[si])
-			}
-			p.serdes.ApplyLinkCkpt(shard[len(shard)-1])
-		}
-	}
+	m.Vaults, m.ports, m.fplan = vaults, ports, plan
+	m.memo.flush()
 	m.resume = rs
 	return nil
 }

@@ -98,9 +98,10 @@ func New(cfg sim.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Cfg: cfg, forceSerial: os.Getenv("IPIM_SERIAL") == "1"}
-	if os.Getenv("IPIM_NO_FF") == "1" {
-		m.stepwise = true
+	m := &Machine{
+		Cfg:         cfg,
+		forceSerial: os.Getenv("IPIM_SERIAL") == "1",
+		stepwise:    os.Getenv("IPIM_NO_FF") == "1",
 	}
 	t := cfg.Timing
 	m.remoteServiceLat = int64(t.TRCD + t.TCL + 1 + 8)
@@ -109,30 +110,38 @@ func New(cfg sim.Config) (*Machine, error) {
 	m.serdes = noc.NewMesh(sw, sh, cfg.TSERDESNum, cfg.TSERDESDen, cfg.SERDESLinkBytesPerCycle)
 	for c := 0; c < cfg.Cubes; c++ {
 		m.meshes = append(m.meshes, noc.NewMesh(mw, mh, int64(cfg.TNoCHop), 1, cfg.NoCLinkBytesPerCycle))
-		var vs []*vault.Vault
-		for vid := 0; vid < cfg.VaultsPerCube; vid++ {
-			vs = append(vs, vault.New(&m.Cfg, c, vid, m))
-		}
-		m.Vaults = append(m.Vaults, vs)
 	}
-	for c := 0; c < cfg.Cubes; c++ {
+	m.Vaults, m.ports = m.newFabric()
+	if os.Getenv("IPIM_NO_MEMO") == "1" {
+		m.SetTimingMemo(false)
+	}
+	return m, nil
+}
+
+// newFabric builds a set of vaults, bound to m and in its fast-forward
+// mode, and their per-source port shards on m's meshes, all as fresh
+// as New leaves them. New installs one; Restore decodes a checkpoint
+// into another and swaps it in.
+func (m *Machine) newFabric() ([][]*vault.Vault, [][]*port) {
+	var vaults [][]*vault.Vault
+	var ports [][]*port
+	for c := 0; c < m.Cfg.Cubes; c++ {
+		var vs []*vault.Vault
 		var ps []*port
-		for vid := 0; vid < cfg.VaultsPerCube; vid++ {
+		for vid := 0; vid < m.Cfg.VaultsPerCube; vid++ {
+			v := vault.New(&m.Cfg, c, vid, m)
+			v.SetFastForward(!m.stepwise)
+			vs = append(vs, v)
 			p := &port{serdes: m.serdes.NewLinkState()}
 			for _, mesh := range m.meshes {
 				p.mesh = append(p.mesh, mesh.NewLinkState())
 			}
 			ps = append(ps, p)
 		}
-		m.ports = append(m.ports, ps)
+		vaults = append(vaults, vs)
+		ports = append(ports, ps)
 	}
-	if m.stepwise {
-		m.SetFastForward(false)
-	}
-	if os.Getenv("IPIM_NO_MEMO") == "1" {
-		m.SetTimingMemo(false)
-	}
-	return m, nil
+	return vaults, ports
 }
 
 // SetTimingMemo enables (the default) or disables the run-level timing
@@ -239,14 +248,20 @@ func (m *Machine) Parallelism() int { return m.parallelism }
 func (m *Machine) SetFaultPlan(p *fault.Plan) {
 	m.fplan = p
 	m.memo.flush()
-	for c := range m.Vaults {
-		for vid, v := range m.Vaults[c] {
-			v.SetFaultPlan(p)
-			port := m.ports[c][vid]
-			for mi, st := range port.mesh {
-				st.AttachFaults(p, fault.Site(fault.DomLink, c, vid, mi))
+	attachFaults(m.Vaults, m.ports, p)
+}
+
+// attachFaults attaches plan to every vault and per-source link shard
+// of a fabric (nil detaches), resetting their decision streams.
+func attachFaults(vaults [][]*vault.Vault, ports [][]*port, plan *fault.Plan) {
+	for c := range vaults {
+		for vid, v := range vaults[c] {
+			v.SetFaultPlan(plan)
+			p := ports[c][vid]
+			for mi, st := range p.mesh {
+				st.AttachFaults(plan, fault.Site(fault.DomLink, c, vid, mi))
 			}
-			port.serdes.AttachFaults(p, fault.Site(fault.DomLink, c, vid, -1))
+			p.serdes.AttachFaults(plan, fault.Site(fault.DomLink, c, vid, -1))
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package cube
 
 // Hostile-input hardening for the checkpoint decoder. The contract
-// (decode-then-apply, see checkpoint.go): Restore on arbitrary bytes
-// either succeeds or fails with a typed error — ckpt.ErrCorrupt (which
-// ErrTruncated wraps), ckpt.ErrVersion or ErrCheckpointConfig — and a
-// failed Restore leaves the machine bit-identical to how it found it.
-// Never a panic, never a half-restored machine.
+// (decode into a fresh vault set, then swap; see checkpoint.go):
+// Restore on arbitrary bytes either succeeds or fails with a typed
+// error — ckpt.ErrCorrupt (which ErrTruncated wraps), ckpt.ErrVersion
+// or ErrCheckpointConfig — and a failed Restore leaves the machine
+// bit-identical to how it found it. Never a panic, never a
+// half-restored machine. TestCheckpointDecodeHostile covers the
+// container (length, version, CRC); FuzzCheckpointDecode seals every
+// input, so its mutations reach the cube, vault, DRAM and NoC payload
+// decoders behind the CRC.
 
 import (
 	"bytes"
@@ -17,11 +21,10 @@ import (
 	"ipim/internal/sim"
 )
 
-// ckptSeeds builds the seed corpus: an idle-machine checkpoint and a
-// mid-run (run-section-carrying) checkpoint from a checkpointing run.
-func ckptSeeds(t testing.TB) (idle, midrun []byte) {
+// ckptSeeds returns an idle checkpoint of m and the first mid-run
+// (run-section-carrying) checkpoint of a checkpointing run on it.
+func ckptSeeds(t testing.TB, m *Machine) (idle, midrun []byte) {
 	t.Helper()
-	m := newTinyMachine(t)
 	idle, err := m.CheckpointBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +50,7 @@ func ckptSeeds(t testing.TB) (idle, midrun []byte) {
 // TestCheckpointDecodeHostile pins the typed error for each corruption
 // class a crash can realistically produce.
 func TestCheckpointDecodeHostile(t *testing.T) {
-	idle, midrun := ckptSeeds(t)
+	idle, midrun := ckptSeeds(t, newTinyMachine(t))
 	m := newTinyMachine(t)
 	baseline, err := m.CheckpointBytes()
 	if err != nil {
@@ -94,27 +97,43 @@ func TestCheckpointDecodeHostile(t *testing.T) {
 	check("config mismatch", otherData, ErrCheckpointConfig)
 }
 
-// FuzzCheckpointDecode throws arbitrary mutations of real checkpoints
-// at Restore.
+// FuzzCheckpointDecode throws arbitrary payloads, seeded with real
+// ones, at Restore. Each input is sealed first, so no mutation is
+// stopped by the container's CRC. The machine's memories, register
+// files and I$ are shrunk until its checkpoints are about 5 KB: the
+// fuzzer minimizes every new input it finds, at one Restore per try.
 func FuzzCheckpointDecode(f *testing.F) {
-	m, err := New(sim.TestTiny())
+	cfg := sim.TestTiny()
+	cfg.VSMBytes, cfg.PGSMBytes = 64, 64
+	cfg.BankBytes, cfg.RowBytes = 1024, 256
+	cfg.DataRFEntries, cfg.AddrRFEntries, cfg.CtrlRFEntries = 8, 8, 4
+	cfg.ICacheLines = 4
+	seeder, err := New(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	idle, midrun := ckptSeeds(f)
-	f.Add(idle)
-	f.Add(midrun)
-	f.Add(idle[:len(idle)-7]) // torn tail
-	ver := append([]byte(nil), idle...)
-	ver[8] ^= 0x01
-	f.Add(ver) // schema version rejection
-	f.Add([]byte("IPIMCKPT"))
+	idle, midrun := ckptSeeds(f, seeder)
+	for _, sealed := range [][]byte{idle, midrun} {
+		payload, err := ckpt.Open(sealed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	payload, _ := ckpt.Open(midrun)
+	f.Add(payload[:len(payload)-7])                      // torn tail
+	f.Add(append(append([]byte(nil), payload...), 0xAB)) // trailing byte
+	f.Add([]byte(nil))                                   // empty payload
+	m, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
 	baseline, err := m.CheckpointBytes()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		err := m.Restore(data)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		err := m.Restore(ckpt.Seal(payload))
 		if err == nil {
 			// A structurally valid checkpoint restored; rewind to the
 			// known baseline for the next iteration.

@@ -25,7 +25,7 @@ package cube
 // cycle-mode timing state that a functional replay never builds). A
 // run that fails these conditions bypasses the memo and leaves it
 // intact. The memo flushes on Reset (so on every cancel and budget
-// abort), SetDRAMPolicy, SetFaultPlan (so on Restore) and
+// abort), SetDRAMPolicy, SetFaultPlan, Restore and
 // SetTimingMemo(false).
 
 import (
@@ -78,7 +78,7 @@ func (m *Machine) memoEligible(active []*vault.Vault, opts sim.RunOptions) bool 
 		return false
 	}
 	for _, v := range active {
-		if v.Traced() {
+		if v.Tracer() != nil {
 			return false
 		}
 	}

@@ -1,19 +1,18 @@
 package dram
 
-// Checkpoint codec for the controller. A controller's architectural
-// state at a phase barrier is exactly its canonical timing snapshot
-// (CaptureTiming's equivalence proof: two controllers with equal
-// canonical snapshots schedule any identical future request stream
-// identically) plus the policies the snapshot is keyed under and the
-// run's Stats. The request queue is empty at barriers by construction,
-// so no in-flight requests are serialized; CaptureTiming/RestoreTiming
-// both enforce that invariant.
+// Checkpoint codec for the controller. Checkpoints are taken at phase
+// barriers, where the owning vault has drained every controller, so the
+// request queue is empty and the controller's state is exactly its
+// policies, bank timing, ACT history, FR-FCFS bypass count, refresh
+// epoch and Stats. They serialize verbatim, in absolute cycles like the
+// vault clock: a checkpoint is restored at the clock it was taken at,
+// so the restored controller schedules every later request exactly as
+// the uninterrupted one does.
 //
-// The decode path follows the repository-wide checkpoint discipline:
-// DecodeCtrlCkpt parses and validates into a CtrlImage without touching
-// any controller, and ApplyCtrlCkpt applies a validated image
-// infallibly, so a corrupt checkpoint can never leave a half-restored
-// controller.
+// DecodeCkpt writes into the controller as it parses. The machine
+// decodes into a freshly built vault set and swaps it in only once the
+// whole checkpoint has decoded, so a corrupt checkpoint never reaches a
+// live controller.
 
 import (
 	"fmt"
@@ -21,36 +20,29 @@ import (
 	"ipim/internal/ckpt"
 )
 
-// CtrlImage is a decoded, validated controller checkpoint, ready to be
-// applied with ApplyCtrlCkpt. It is produced only by DecodeCtrlCkpt.
-type CtrlImage struct {
-	snap  TimingSnapshot
-	stats Stats
-}
-
-// EncodeCkpt appends the controller's checkpoint state to e, with all
-// times rebased to base (the owning vault's clock at the barrier). The
-// request queue must be empty; CaptureTiming panics otherwise.
-func (c *Controller) EncodeCkpt(e *ckpt.Enc, base int64) {
-	var s TimingSnapshot
-	c.CaptureTiming(base, &s)
-	e.U8(uint8(s.page))
-	e.U8(uint8(s.sched))
-	e.U32(uint32(len(s.banks)))
-	for _, b := range s.banks {
+// EncodeCkpt appends the controller's checkpoint state to e. The
+// request queue must be empty; EncodeCkpt panics otherwise.
+func (c *Controller) EncodeCkpt(e *ckpt.Enc) {
+	if len(c.queue) != 0 {
+		panic(fmt.Sprintf("dram: checkpoint with %d queued requests", len(c.queue)))
+	}
+	e.U8(uint8(c.page))
+	e.U8(uint8(c.sched))
+	e.U32(uint32(len(c.banks)))
+	for _, b := range c.banks {
 		e.Int(b.openRow)
 		e.I64(b.preReady)
 		e.I64(b.actReady)
 		e.I64(b.colReady)
 	}
-	e.I64s(s.actTimes)
-	e.I64(s.lastAct)
-	e.Bool(s.hadAct)
-	e.I64s(s.lastActGroup)
-	e.Bools(s.hadActGroup)
-	e.Int(s.bypassed)
-	e.I64(s.nextRefresh)
-	e.I64(s.refUntil)
+	e.I64s(c.actTimes)
+	e.I64(c.lastAct)
+	e.Bool(c.hadAct)
+	e.I64s(c.lastActGroup)
+	e.Bools(c.hadActGroup)
+	e.Int(c.bypassed)
+	e.I64(c.nextRefresh)
+	e.I64(c.refUntil)
 
 	st := c.Stats
 	e.I64(st.Reads)
@@ -66,36 +58,35 @@ func (c *Controller) EncodeCkpt(e *ckpt.Enc, base int64) {
 	e.I64(st.ECCUncorrected)
 }
 
-// DecodeCtrlCkpt parses one controller checkpoint from d and validates
-// it against a controller with nBanks banks. It touches no controller
-// state; errors wrap ckpt.ErrCorrupt.
-func DecodeCtrlCkpt(d *ckpt.Dec, nBanks int) (*CtrlImage, error) {
-	img := &CtrlImage{}
-	s := &img.snap
-	s.page = PagePolicy(d.U8())
-	s.sched = SchedPolicy(d.U8())
+// DecodeCkpt reads one controller checkpoint from d into c, which must
+// be idle, with the bank count the checkpoint was taken with. Errors
+// wrap ckpt.ErrCorrupt; after one, c is partly overwritten and must be
+// discarded.
+func (c *Controller) DecodeCkpt(d *ckpt.Dec) error {
+	page := PagePolicy(d.U8())
+	sched := SchedPolicy(d.U8())
 	nb := int(d.U32())
-	if d.Err() == nil && nb != nBanks {
-		return nil, fmt.Errorf("dram: checkpoint has %d banks, controller has %d: %w", nb, nBanks, ckpt.ErrCorrupt)
+	if d.Err() == nil && nb != len(c.banks) {
+		return fmt.Errorf("dram: checkpoint has %d banks, controller has %d: %w", nb, len(c.banks), ckpt.ErrCorrupt)
 	}
-	for i := 0; i < nb && d.Err() == nil; i++ {
-		s.banks = append(s.banks, bankSnap{
+	for i := range c.banks {
+		c.banks[i] = bankState{
 			openRow:  d.Int(),
 			preReady: d.I64(),
 			actReady: d.I64(),
 			colReady: d.I64(),
-		})
+		}
 	}
-	s.actTimes = d.I64s()
-	s.lastAct = d.I64()
-	s.hadAct = d.Bool()
-	s.lastActGroup = d.I64s()
-	s.hadActGroup = d.Bools()
-	s.bypassed = d.Int()
-	s.nextRefresh = d.I64()
-	s.refUntil = d.I64()
+	c.actTimes = d.I64s()
+	c.lastAct = d.I64()
+	c.hadAct = d.Bool()
+	c.lastActGroup = d.I64s()
+	c.hadActGroup = d.Bools()
+	c.bypassed = d.Int()
+	c.nextRefresh = d.I64()
+	c.refUntil = d.I64()
 
-	img.stats = Stats{
+	c.Stats = Stats{
 		Reads:           d.I64(),
 		Writes:          d.I64(),
 		Activates:       d.I64(),
@@ -109,30 +100,20 @@ func DecodeCtrlCkpt(d *ckpt.Dec, nBanks int) (*CtrlImage, error) {
 		ECCUncorrected:  d.I64(),
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 
-	groups := (nBanks + 1) / 2
-	if s.page > ClosePage || s.sched > FCFS {
-		return nil, fmt.Errorf("dram: checkpoint has unknown policy (page=%d sched=%d): %w", s.page, s.sched, ckpt.ErrCorrupt)
+	if page > ClosePage || sched > FCFS {
+		return fmt.Errorf("dram: checkpoint has unknown policy (page=%d sched=%d): %w", page, sched, ckpt.ErrCorrupt)
 	}
-	if len(s.lastActGroup) != groups || len(s.hadActGroup) != groups {
-		return nil, fmt.Errorf("dram: checkpoint has %d/%d ACT groups, controller has %d: %w",
-			len(s.lastActGroup), len(s.hadActGroup), groups, ckpt.ErrCorrupt)
+	c.page, c.sched = page, sched
+	groups := (len(c.banks) + 1) / 2
+	if len(c.lastActGroup) != groups || len(c.hadActGroup) != groups {
+		return fmt.Errorf("dram: checkpoint has %d/%d ACT groups, controller has %d: %w",
+			len(c.lastActGroup), len(c.hadActGroup), groups, ckpt.ErrCorrupt)
 	}
-	if len(s.actTimes) > 8 {
-		return nil, fmt.Errorf("dram: checkpoint carries %d ACT timestamps (max 8): %w", len(s.actTimes), ckpt.ErrCorrupt)
+	if len(c.actTimes) > fawACTs {
+		return fmt.Errorf("dram: checkpoint carries %d ACT timestamps (max %d): %w", len(c.actTimes), fawACTs, ckpt.ErrCorrupt)
 	}
-	return img, nil
-}
-
-// ApplyCtrlCkpt rewrites the controller's state from a validated image,
-// rebasing snapshot times to base (the owning vault's restored clock —
-// the same value the snapshot was captured against, so the round trip
-// is exact). The request queue must be empty. Never fails: all
-// validation happened in DecodeCtrlCkpt.
-func (c *Controller) ApplyCtrlCkpt(img *CtrlImage, base int64) {
-	c.SetPolicies(img.snap.page, img.snap.sched)
-	c.RestoreTiming(&img.snap, base)
-	c.Stats = img.stats
+	return nil
 }

@@ -168,7 +168,7 @@ type Controller struct {
 
 	banks    []bankState
 	queue    []*Request
-	actTimes []int64 // rolling ACT timestamps for the tFAW window
+	actTimes []int64 // the fawACTs most recent ACT times, oldest first
 	// lastAct is the most recent ACT across banks (tRRDS); it is only
 	// meaningful once hadAct is set. An explicit flag instead of a
 	// time sentinel keeps the timing arithmetic free of values that
@@ -193,6 +193,10 @@ type Controller struct {
 	// last Reset.
 	Stats Stats
 }
+
+// fawACTs is the number of activates tFAW admits per window: a new
+// ACT waits for the fawACTs-th most recent one plus tFAW.
+const fawACTs = 4
 
 // NewController builds a controller for nBanks banks. qCap is the
 // request queue capacity (Table III: 16).
@@ -394,10 +398,10 @@ func (c *Controller) earliestIssue(r *Request, now int64) int64 {
 
 // fawReady returns the earliest time a new ACT satisfies tFAW.
 func (c *Controller) fawReady() int64 {
-	if len(c.actTimes) < 4 {
+	if len(c.actTimes) < fawACTs {
 		return 0
 	}
-	return c.actTimes[len(c.actTimes)-4] + int64(c.timing.TFAW)
+	return c.actTimes[0] + int64(c.timing.TFAW)
 }
 
 // refreshAt performs the pending refresh(es) ending at or after time t
@@ -443,9 +447,11 @@ func (c *Controller) issue(r *Request, issueAt int64) {
 		c.hadAct = true
 		c.lastActGroup[r.Bank/2] = actAt
 		c.hadActGroup[r.Bank/2] = true
-		c.actTimes = append(c.actTimes, actAt)
-		if len(c.actTimes) > 8 {
-			c.actTimes = c.actTimes[len(c.actTimes)-8:]
+		if len(c.actTimes) == fawACTs {
+			copy(c.actTimes, c.actTimes[1:])
+			c.actTimes[fawACTs-1] = actAt
+		} else {
+			c.actTimes = append(c.actTimes, actAt)
 		}
 		c.Stats.Activates++
 		b.openRow = row

@@ -3,10 +3,9 @@ package engine
 // Checkpoint accessors for the PE's lazily materialized bank storage.
 // Only the materialized prefix is serialized — unmaterialized DRAM
 // reads as zero on both sides of a restore, so the prefix plus the bank
-// capacity fully determines the bank's contents. Restore must also zero
-// any stale tail: a pooled machine being restored in place may have
-// materialized more of the bank in a previous life than the checkpoint
-// carries.
+// capacity fully determines the bank's contents. RestoreBank also
+// zeroes any materialized tail beyond the prefix, so its result never
+// depends on what the bank held before.
 
 import "fmt"
 

@@ -8,25 +8,17 @@ package noc
 // so the resumed run rolls exactly the faults the uninterrupted run
 // would have rolled.
 //
-// Decode validates against the expected node count and never touches
-// live state; Apply is infallible on a validated image. The fault-plan
-// attachment itself is not serialized here — the machine layer
-// re-attaches plans before applying images (AttachFaults zeroes the
-// stream position; Apply then restores it).
+// DecodeCkpt writes into the shard as it parses. The machine decodes
+// into freshly built shards and swaps them in only once the whole
+// checkpoint has decoded. The fault-plan attachment itself is not
+// serialized: the machine attaches plans before decoding (AttachFaults
+// zeroes the stream position; DecodeCkpt then restores it).
 
 import (
 	"fmt"
 
 	"ipim/internal/ckpt"
 )
-
-// LinkImage is a decoded, validated checkpoint of one LinkState.
-// Produced only by DecodeLinkCkpt.
-type LinkImage struct {
-	linkFree []int64 // flattened [node][dir], absolute cycles
-	faultN   uint64
-	stats    Stats
-}
 
 // EncodeCkpt appends the shard's checkpoint state to e.
 func (st *LinkState) EncodeCkpt(e *ckpt.Enc) {
@@ -49,20 +41,26 @@ func (st *LinkState) EncodeCkpt(e *ckpt.Enc) {
 	e.I64(st.Stats.RetransmitFlits)
 }
 
-// DecodeLinkCkpt parses one link-state checkpoint from d and validates
-// it against a mesh with the given node count. It touches no live
-// state; errors wrap ckpt.ErrCorrupt.
-func DecodeLinkCkpt(d *ckpt.Dec, nodes int) (*LinkImage, error) {
-	img := &LinkImage{}
+// DecodeCkpt reads one link-state checkpoint from d into st, which must
+// come from the same mesh's NewLinkState. The decision-stream position
+// is restored only when a fault state is attached. Errors wrap
+// ckpt.ErrCorrupt; after one, st is partly overwritten and must be
+// discarded.
+func (st *LinkState) DecodeCkpt(d *ckpt.Dec) error {
 	n := int(d.U32())
-	if d.Err() == nil && n != nodes {
-		return nil, fmt.Errorf("noc: checkpoint has %d nodes, mesh has %d: %w", n, nodes, ckpt.ErrCorrupt)
+	if d.Err() == nil && n != len(st.linkFree) {
+		return fmt.Errorf("noc: checkpoint has %d nodes, mesh has %d: %w", n, len(st.linkFree), ckpt.ErrCorrupt)
 	}
-	for i := 0; i < n*int(numDirs) && d.Err() == nil; i++ {
-		img.linkFree = append(img.linkFree, d.I64())
+	for i := range st.linkFree {
+		for dir := 0; dir < int(numDirs); dir++ {
+			st.linkFree[i][dir] = d.I64()
+		}
 	}
-	img.faultN = d.U64()
-	img.stats = Stats{
+	faultN := d.U64()
+	if st.faults != nil {
+		st.faults.n = faultN
+	}
+	st.Stats = Stats{
 		Packets:         d.I64(),
 		Flits:           d.I64(),
 		Hops:            d.I64(),
@@ -70,25 +68,5 @@ func DecodeLinkCkpt(d *ckpt.Dec, nodes int) (*LinkImage, error) {
 		LinkFaults:      d.I64(),
 		RetransmitFlits: d.I64(),
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// ApplyLinkCkpt rewrites the shard's state from a validated image.
-// Never fails: all validation happened in DecodeLinkCkpt. The
-// decision-stream position is restored only when a fault state is
-// attached (the machine layer re-attaches plans before applying, so a
-// faulted checkpoint always finds one).
-func (st *LinkState) ApplyLinkCkpt(img *LinkImage) {
-	for i := range st.linkFree {
-		for d := 0; d < int(numDirs); d++ {
-			st.linkFree[i][d] = img.linkFree[i*int(numDirs)+d]
-		}
-	}
-	if st.faults != nil {
-		st.faults.n = img.faultN
-	}
-	st.Stats = img.stats
+	return d.Err()
 }

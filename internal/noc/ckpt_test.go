@@ -21,12 +21,10 @@ func TestMeshCkptRoundTrip(t *testing.T) {
 	m.SendOn(src, 7, m.Node(1, 2), m.Node(2, 0), 64)
 	payload := encodeLinks(src)
 
-	img, err := DecodeLinkCkpt(ckpt.NewDec(payload), 16)
-	if err != nil {
+	dst := m.NewLinkState()
+	if err := dst.DecodeCkpt(ckpt.NewDec(payload)); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	dst := m.NewLinkState()
-	dst.ApplyLinkCkpt(img)
 
 	if dst.Stats != src.Stats {
 		t.Errorf("restored Stats = %+v, want %+v", dst.Stats, src.Stats)
@@ -57,16 +55,14 @@ func TestLinkStateCkptRoundTripWithFaults(t *testing.T) {
 
 	var e ckpt.Enc
 	sst.EncodeCkpt(&e)
-	img, err := DecodeLinkCkpt(ckpt.NewDec(e.Bytes()), 16)
-	if err != nil {
+	dst, dst2 := mk() // AttachFaults zeroes the stream position...
+	if err := dst2.DecodeCkpt(ckpt.NewDec(e.Bytes())); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	dst, dst2 := mk() // AttachFaults zeroes the stream position...
-	dst2.ApplyLinkCkpt(img)
 	if dst2.Stats != sst.Stats {
 		t.Errorf("restored shard Stats = %+v, want %+v", dst2.Stats, sst.Stats)
 	}
-	// ...and Apply restores it, so both shards roll the same future
+	// ...and DecodeCkpt restores it, so both shards roll the same future
 	// fault decisions: identical sends land at identical times with
 	// identical fault counters.
 	a := src.SendOn(sst, 20, src.Node(0, 0), src.Node(3, 3), 512)
@@ -80,10 +76,10 @@ func TestLinkStateCkptRoundTripWithFaults(t *testing.T) {
 func TestLinkCkptRejections(t *testing.T) {
 	m := NewMesh(4, 4, 1, 1, 16)
 	payload := encodeLinks(m.NewLinkState())
-	if _, err := DecodeLinkCkpt(ckpt.NewDec(payload), 4); !errors.Is(err, ckpt.ErrCorrupt) {
+	if err := NewMesh(2, 2, 1, 1, 16).NewLinkState().DecodeCkpt(ckpt.NewDec(payload)); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("node-count mismatch: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeLinkCkpt(ckpt.NewDec(payload[:6]), 16); !errors.Is(err, ckpt.ErrCorrupt) {
+	if err := m.NewLinkState().DecodeCkpt(ckpt.NewDec(payload[:6])); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("truncated: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -54,23 +54,6 @@ func (hb *heartbeater) stopAndWait() {
 	<-hb.done
 }
 
-// workerStateName is the health verdict the heartbeat advertises —
-// the /readyz decision tree, named.
-func (s *Server) workerStateName() string {
-	switch {
-	case s.isDraining():
-		return "draining"
-	default:
-		if _, shedding := s.degrade.active(); shedding {
-			return "degraded"
-		}
-		if s.recovery.backlog() > 0 {
-			return "backlog"
-		}
-		return "ready"
-	}
-}
-
 // heartbeatLoop beats until stopped, then reports "draining" so the
 // router rehashes this worker's keys before the pool drains.
 func (s *Server) heartbeatLoop(hb *heartbeater) {
@@ -87,7 +70,7 @@ func (s *Server) heartbeatLoop(hb *heartbeater) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	beat(s.workerStateName())
+	beat(s.health().state)
 	tick := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	for {
@@ -96,7 +79,7 @@ func (s *Server) heartbeatLoop(hb *heartbeater) {
 			beat("draining")
 			return
 		case <-tick.C:
-			beat(s.workerStateName())
+			beat(s.health().state)
 		}
 	}
 }

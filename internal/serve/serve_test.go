@@ -380,11 +380,11 @@ func TestMetricsContent(t *testing.T) {
 	}
 }
 
-// TestMemoMetrics: the timing memoizer's effect is visible in /metrics.
-// Every run starts from a fresh machine, so a repeated cycle-mode
-// request enters its phases from the states the first one recorded and
-// replays them: two requests give both misses and hits. Functional
-// mode bypasses the memoizer, so its counters stay at zero.
+// TestMemoMetrics: the run-level timing memo's effect is visible in
+// /metrics. The first cycle-mode request simulates its run and records
+// it; the second runs the same program, so the memo answers it: two
+// requests give both a miss and a hit. Functional mode bypasses the
+// memo, so its counters stay at zero.
 func TestMemoMetrics(t *testing.T) {
 	for _, tc := range []struct {
 		mode     string

@@ -409,27 +409,57 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReadyz is readiness: 503 while the server is draining or
-// shedding load in degraded mode — take it out of the balancer — and
-// 200 otherwise.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// verdict is the worker's health verdict: the state the heartbeat
+// advertises and, for every state but "ready", the Retry-After value
+// and body of the 503 that refuses traffic.
+type verdict struct {
+	state      string // "ready", "draining", "degraded" or "backlog"
+	retryAfter int
+	msg        string
+}
+
+// health decides the worker's verdict: draining once Shutdown begins,
+// degraded while shedding load under uncorrected-fault pressure, and
+// backlog while the checkpoint journal still holds jobs interrupted
+// before the last restart — until they are replayed (re-submissions
+// resume them) or the recovery grace expires, so a router doesn't pile
+// new work onto a worker busy replaying.
+func (s *Server) health() verdict {
 	if s.isDraining() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+		return verdict{"draining", 1, "draining"}
 	}
 	if retryAfter, shedding := s.degrade.active(); shedding {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		http.Error(w, "degraded: uncorrected-error rate above threshold", http.StatusServiceUnavailable)
-		return
+		return verdict{"degraded", retryAfter, "degraded: uncorrected-error rate above threshold"}
 	}
 	if n := s.recovery.backlog(); n > 0 {
-		// The checkpoint journal still holds jobs interrupted before the
-		// last restart. Stay out of the balancer until they are replayed
-		// (re-submissions resume them) or the recovery grace expires, so
-		// a router doesn't pile new work onto a worker busy replaying.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, fmt.Sprintf("recovering: %d journaled job(s) awaiting resume", n), http.StatusServiceUnavailable)
+		return verdict{"backlog", 1, fmt.Sprintf("recovering: %d journaled job(s) awaiting resume", n)}
+	}
+	return verdict{state: "ready"}
+}
+
+// refuse answers 503 with the verdict's Retry-After and message.
+func (v verdict) refuse(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(v.retryAfter))
+	http.Error(w, v.msg, http.StatusServiceUnavailable)
+}
+
+// refuseRun refuses a run request while the worker is draining or
+// degraded, and reports whether it did. A journal backlog still admits
+// runs: re-submissions are what resume the journaled jobs.
+func (s *Server) refuseRun(w http.ResponseWriter) bool {
+	v := s.health()
+	if v.state != "draining" && v.state != "degraded" {
+		return false
+	}
+	v.refuse(w)
+	return true
+}
+
+// handleReadyz is readiness: 503 in every state but ready — take the
+// worker out of the balancer — and 200 otherwise.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if v := s.health(); v.state != "ready" {
+		v.refuse(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -485,14 +515,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.isDraining() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if retryAfter, shedding := s.degrade.active(); shedding {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		http.Error(w, "degraded: uncorrected-error rate above threshold", http.StatusServiceUnavailable)
+	if s.refuseRun(w) {
 		return
 	}
 
@@ -823,14 +846,7 @@ func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.isDraining() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if retryAfter, shedding := s.degrade.active(); shedding {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		http.Error(w, "degraded: uncorrected-error rate above threshold", http.StatusServiceUnavailable)
+	if s.refuseRun(w) {
 		return
 	}
 	q := r.URL.Query()

@@ -51,14 +51,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.isDraining() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if retryAfter, shedding := s.degrade.active(); shedding {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		http.Error(w, "degraded: uncorrected-error rate above threshold", http.StatusServiceUnavailable)
+	if s.refuseRun(w) {
 		return
 	}
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ipim/internal/dram"
+	"ipim/internal/isa"
 )
 
 // Config is the full iPIM hardware configuration. Zero values are not
@@ -149,6 +150,23 @@ const (
 	ClassMac                   // multiply-accumulate (8 cycles)
 	ClassLogic                 // shifts, bitwise, moves, converts (1 cycle)
 )
+
+// ClassOf maps an ALU op to its Table III latency class. The vault
+// times comp and calc_arf with it, and the compiler's reorderer
+// estimates their latencies with it.
+func ClassOf(op isa.ALUOp) ALUClass {
+	switch op {
+	case isa.FAdd, isa.FSub, isa.IAdd, isa.ISub, isa.FMin, isa.FMax,
+		isa.IMin, isa.IMax, isa.FCmpLT, isa.FCmpLE, isa.ICmpLT, isa.ICmpEQ,
+		isa.FAbs, isa.FFloor:
+		return ClassAdd
+	case isa.FMul, isa.IMul, isa.FDiv:
+		return ClassMul
+	case isa.FMac, isa.IMac:
+		return ClassMac
+	}
+	return ClassLogic
+}
 
 // LatencyOf returns the pipelined latency of an ALU class.
 func (c *Config) LatencyOf(cl ALUClass) int {

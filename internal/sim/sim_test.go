@@ -128,3 +128,26 @@ func TestStallReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestClassOf(t *testing.T) {
+	cases := map[isa.ALUOp]ALUClass{
+		isa.FAdd:   ClassAdd,
+		isa.ISub:   ClassAdd,
+		isa.FMin:   ClassAdd,
+		isa.FCmpLT: ClassAdd,
+		isa.FMul:   ClassMul,
+		isa.FDiv:   ClassMul,
+		isa.IMul:   ClassMul,
+		isa.FMac:   ClassMac,
+		isa.IMac:   ClassMac,
+		isa.Shl:    ClassLogic,
+		isa.And:    ClassLogic,
+		isa.Mov:    ClassLogic,
+		isa.I2F:    ClassLogic,
+	}
+	for op, want := range cases {
+		if got := ClassOf(op); got != want {
+			t.Errorf("ClassOf(%v) = %v, want %v", op, got, want)
+		}
+	}
+}

@@ -37,15 +37,13 @@ func TestVaultCkptRoundTrip(t *testing.T) {
 	}
 	payload := encodeVault(t, src, 0)
 
-	img, err := DecodeVaultCkpt(ckpt.NewDec(payload), &cfg, []*isa.Program{prog})
-	if err != nil {
+	dst := New(&cfg, 0, 0, nil)
+	if err := dst.DecodeCkpt(ckpt.NewDec(payload), []*isa.Program{prog}); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !img.HasProgram() {
-		t.Error("image dropped the program reference")
+	if dst.Program() != prog {
+		t.Error("decode dropped the program reference")
 	}
-	dst := New(&cfg, 0, 0, nil)
-	dst.ApplyCkpt(img)
 
 	if dst.Now() != src.Now() || dst.Done() != src.Done() {
 		t.Errorf("restored clock/done = %d/%v, want %d/%v", dst.Now(), dst.Done(), src.Now(), src.Done())
@@ -77,21 +75,29 @@ func TestVaultCkptRejections(t *testing.T) {
 	prog := src.Program()
 	payload := encodeVault(t, src, 0)
 
-	if _, err := DecodeVaultCkpt(ckpt.NewDec(payload[:16]), &cfg, []*isa.Program{prog}); !errors.Is(err, ckpt.ErrCorrupt) {
+	decode := func(cfg sim.Config, b []byte, progs []*isa.Program) error {
+		return New(&cfg, 0, 0, nil).DecodeCkpt(ckpt.NewDec(b), progs)
+	}
+
+	if err := decode(cfg, payload[:16], []*isa.Program{prog}); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("truncated: err = %v, want ErrCorrupt", err)
 	}
 	// Program index outside the machine's table.
-	if _, err := DecodeVaultCkpt(ckpt.NewDec(payload), &cfg, nil); !errors.Is(err, ckpt.ErrCorrupt) {
+	if err := decode(cfg, payload, nil); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("dangling program index: err = %v, want ErrCorrupt", err)
+	}
+	// A payload cut inside its program index fails on the truncation,
+	// before the index is resolved against an empty table.
+	if err := decode(cfg, payload[:4], nil); !errors.Is(err, ckpt.ErrTruncated) {
+		t.Errorf("truncated program index: err = %v, want ErrTruncated", err)
 	}
 	// A non-zero pc with no program is structurally impossible.
 	orphan := encodeVault(t, src, -1)
-	if _, err := DecodeVaultCkpt(ckpt.NewDec(orphan), &cfg, nil); !errors.Is(err, ckpt.ErrCorrupt) {
+	if err := decode(cfg, orphan, nil); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("pc without program: err = %v, want ErrCorrupt", err)
 	}
 	// A mismatched target configuration cannot accept the image.
-	other := sim.OneVault()
-	if _, err := DecodeVaultCkpt(ckpt.NewDec(payload), &other, []*isa.Program{prog}); !errors.Is(err, ckpt.ErrCorrupt) {
+	if err := decode(sim.OneVault(), payload, []*isa.Program{prog}); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("config mismatch: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ipim/internal/dram"
 	"ipim/internal/isa"
-	"ipim/internal/sim"
 )
 
 // Functional execution: the vault's one architectural executor. execFunc
@@ -34,7 +33,7 @@ func (v *Vault) runPhaseFunctional() (bool, error) {
 			return true, nil
 		}
 		if v.limited {
-			if err := v.checkRunControlFunc(); err != nil {
+			if err := v.checkRunControl(); err != nil {
 				return false, err
 			}
 		}
@@ -52,36 +51,6 @@ func (v *Vault) runPhaseFunctional() (bool, error) {
 			return false, fmt.Errorf("vault %d/%d: pc=%d %s: %w", v.CubeID, v.ID, v.pc, in.Op, err)
 		}
 	}
-}
-
-// checkRunControlFunc is checkRunControl for functional runs, where no
-// clock exists to measure MaxCycles against: the cycle budget is
-// reinterpreted as an issued-instruction bound (every instruction costs
-// at least one cycle, so a program that exceeds N instructions would
-// certainly have exceeded N cycles — the bound is conservative, never
-// late). MaxPhaseSteps counts loop iterations exactly like cycle mode,
-// so it trips at the identical pc with the identical message in both
-// modes; the interrupt hook is polled on the same InterruptEvery
-// cadence.
-func (v *Vault) checkRunControlFunc() error {
-	v.phaseSteps++
-	if b := v.budget.MaxPhaseSteps; b > 0 && v.phaseSteps > b {
-		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions in one phase without sync (budget %d)",
-			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.phaseSteps-1, b)
-	}
-	if b := v.budget.MaxCycles; b > 0 && v.Stats.Issued >= b {
-		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions into the run (budget %d)",
-			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.Stats.Issued, b)
-	}
-	if v.interrupt != nil {
-		if v.sinceCheck++; v.sinceCheck >= InterruptEvery {
-			v.sinceCheck = 0
-			if err := v.interrupt(); err != nil {
-				return fmt.Errorf("vault %d/%d: pc=%d: %w", v.CubeID, v.ID, v.pc, err)
-			}
-		}
-	}
-	return nil
 }
 
 // execFunc executes one non-sync instruction functionally, managing pc

@@ -57,9 +57,10 @@ func (tr *Tracer) Dropped() int64 { return tr.dropped }
 // call during an active run.
 func (v *Vault) SetTracer(tr *Tracer) { v.tracer = tr }
 
-// Traced reports whether a tracer is attached. The machine's timing
-// memo bypasses runs on traced vaults, whose tracers need every issue.
-func (v *Vault) Traced() bool { return v.tracer != nil }
+// Tracer returns the attached tracer (nil when none). The machine's
+// timing memo bypasses runs on traced vaults, whose tracers need every
+// issue, and a restore carries each tracer over to the restored vault.
+func (v *Vault) Tracer() *Tracer { return v.tracer }
 
 // StallSite aggregates stall cycles at one program counter. All cycle
 // fields are simulated vault cycles; FastForwarded is the portion of

@@ -54,10 +54,8 @@ type entry struct {
 	defs      []isa.RegRef
 	uses      []isa.RegRef
 	completes int64
-	// Pending bank requests (emptied once resolved). pgs[i] owns
-	// reqs[i].
+	// Pending bank requests (emptied once resolved).
 	reqs []*dram.Request
-	pgs  []*engine.PG
 	// post-DRAM latency (PE bus + RF/PGSM write) added per request.
 	extra int64
 	// usesTSV marks bank traffic that must serialize on the vault TSVs
@@ -262,7 +260,6 @@ func (v *Vault) freeEntry(e *entry) {
 		v.reqPool = append(v.reqPool, r)
 	}
 	e.reqs = e.reqs[:0]
-	e.pgs = e.pgs[:0]
 	e.defs, e.uses = nil, nil
 	e.completes, e.extra, e.usesTSV = 0, 0, false
 	v.entryPool = append(v.entryPool, e)
@@ -411,29 +408,45 @@ func (v *Vault) EndRun() {
 }
 
 // checkRunControl enforces the armed budgets and polls the interrupt
-// hook. Called once per issue-loop iteration when limited.
+// hook. Called once per issue-loop iteration when limited, in both
+// modes. A functional run has no clock to measure MaxCycles against,
+// so there the cycle budget bounds the issued-instruction count
+// instead (every instruction costs at least one cycle, so a program
+// that exceeds N instructions would certainly have exceeded N cycles —
+// the bound is conservative, never late). MaxPhaseSteps counts loop
+// iterations in both modes, so it trips at the identical pc with the
+// identical message; the interrupt hook is polled on the same
+// InterruptEvery cadence.
 func (v *Vault) checkRunControl() error {
 	v.phaseSteps++
 	if b := v.budget.MaxPhaseSteps; b > 0 && v.phaseSteps > b {
-		v.Stats.Cycles = v.now
-		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d instructions in one phase without sync (budget %d)",
-			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.phaseSteps-1, b)
+		return v.halt("%w: %d instructions in one phase without sync (budget %d)", sim.ErrCycleBudget, v.phaseSteps-1, b)
 	}
-	if b := v.budget.MaxCycles; b > 0 && v.now >= b {
-		v.Stats.Cycles = v.now
-		return fmt.Errorf("vault %d/%d: pc=%d: %w: %d cycles into the run (budget %d)",
-			v.CubeID, v.ID, v.pc, sim.ErrCycleBudget, v.now, b)
+	spent, unit := v.now, "cycles"
+	if v.funcMode {
+		spent, unit = v.Stats.Issued, "instructions"
+	}
+	if b := v.budget.MaxCycles; b > 0 && spent >= b {
+		return v.halt("%w: %d %s into the run (budget %d)", sim.ErrCycleBudget, spent, unit, b)
 	}
 	if v.interrupt != nil {
 		if v.sinceCheck++; v.sinceCheck >= InterruptEvery {
 			v.sinceCheck = 0
 			if err := v.interrupt(); err != nil {
-				v.Stats.Cycles = v.now
-				return fmt.Errorf("vault %d/%d: pc=%d: %w", v.CubeID, v.ID, v.pc, err)
+				return v.halt("%w", err)
 			}
 		}
 	}
 	return nil
+}
+
+// halt builds the error that stops the run at the current pc and, in
+// cycle mode, records the clock in Stats.
+func (v *Vault) halt(format string, args ...any) error {
+	if !v.funcMode {
+		v.Stats.Cycles = v.now
+	}
+	return fmt.Errorf("vault %d/%d: pc=%d: "+format, append([]any{v.CubeID, v.ID, v.pc}, args...)...)
 }
 
 // Abort abandons the in-flight run, unloads the program and rewinds
@@ -589,7 +602,6 @@ func (v *Vault) resolve(e *entry) int64 {
 		v.reqPool = append(v.reqPool, r) // dead: Finish consumed above
 	}
 	e.reqs = e.reqs[:0]
-	e.pgs = e.pgs[:0]
 	if last > e.completes {
 		e.completes = last
 	}
@@ -731,12 +743,12 @@ func (v *Vault) issue(in *isa.Instruction) error {
 		if in.ALU.ReadsDst() {
 			v.Stats.DataRFAcc += n
 		}
-		completes = v.now + int64(v.Cfg.LatencyOf(classOf(in.ALU)))
+		completes = v.now + int64(v.Cfg.LatencyOf(sim.ClassOf(in.ALU)))
 
 	case isa.OpCalcARF:
 		v.Stats.IntALUOps += n
 		v.Stats.AddrRFAcc += 3 * n
-		completes = v.now + int64(v.Cfg.LatencyOf(classOf(in.ALU)))
+		completes = v.now + int64(v.Cfg.LatencyOf(sim.ClassOf(in.ALU)))
 
 	case isa.OpLdRF, isa.OpStRF, isa.OpLdPGSM, isa.OpStPGSM:
 		pend = v.issueBank(in, mask, nPE, n)
@@ -857,7 +869,6 @@ func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *e
 				pg.Ctrl.AdvanceTo(v.now)
 			}
 			e.reqs = append(e.reqs, req)
-			e.pgs = append(e.pgs, pg)
 			v.Stats.PEBusBeats++
 		}
 	}
@@ -905,22 +916,6 @@ func (v *Vault) injectReadFault(in *isa.Instruction, pg *engine.PG, pe *engine.P
 			// flip cannot go out of bounds.
 			_ = pg.FlipPGSMBit(pgsmAddr+uint32(off), uint(bit%8))
 		}
-	}
-}
-
-// classOf maps an ALU op to its Table III latency class.
-func classOf(op isa.ALUOp) sim.ALUClass {
-	switch op {
-	case isa.FAdd, isa.FSub, isa.IAdd, isa.ISub, isa.FMin, isa.FMax,
-		isa.IMin, isa.IMax, isa.FCmpLT, isa.FCmpLE, isa.ICmpLT, isa.ICmpEQ,
-		isa.FAbs, isa.FFloor:
-		return sim.ClassAdd
-	case isa.FMul, isa.IMul, isa.FDiv:
-		return sim.ClassMul
-	case isa.FMac, isa.IMac:
-		return sim.ClassMac
-	default:
-		return sim.ClassLogic
 	}
 }
 

@@ -37,29 +37,6 @@ func TestConflictsWith(t *testing.T) {
 	}
 }
 
-func TestClassOf(t *testing.T) {
-	cases := map[isa.ALUOp]sim.ALUClass{
-		isa.FAdd:   sim.ClassAdd,
-		isa.ISub:   sim.ClassAdd,
-		isa.FMin:   sim.ClassAdd,
-		isa.FCmpLT: sim.ClassAdd,
-		isa.FMul:   sim.ClassMul,
-		isa.FDiv:   sim.ClassMul,
-		isa.IMul:   sim.ClassMul,
-		isa.FMac:   sim.ClassMac,
-		isa.IMac:   sim.ClassMac,
-		isa.Shl:    sim.ClassLogic,
-		isa.And:    sim.ClassLogic,
-		isa.Mov:    sim.ClassLogic,
-		isa.I2F:    sim.ClassLogic,
-	}
-	for op, want := range cases {
-		if got := classOf(op); got != want {
-			t.Errorf("classOf(%v) = %v, want %v", op, got, want)
-		}
-	}
-}
-
 func TestLoadRejectsBadPrograms(t *testing.T) {
 	v := newTestVault(t)
 	// Register out of range.

@@ -114,7 +114,10 @@ go test ./internal/pixel -run='^$' -fuzz='^FuzzNetpbm$' -fuzztime=10s
 go test ./internal/pixel -run='^$' -fuzz='^FuzzPGMFrames$' -fuzztime=10s
 go test . -run='^$' -fuzz='^FuzzFunctionalVsTiming$' -fuzztime=10s
 go test ./internal/vault -run='^$' -fuzz='^FuzzExecFuncVsEvalLane$' -fuzztime=10s
-go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s
+# Checkpoint payloads are kilobytes, and the fuzzer's default
+# minimization of each new input (up to 60 s, quadratic in its length)
+# would take the whole slot; 100 tries per input keep it fuzzing.
+go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/compiler -run='^$' -fuzz='^FuzzScheduleVsReference$' -fuzztime=10s
 go test ./internal/autotune -run='^$' -fuzz='^FuzzStoreReplay$' -fuzztime=10s
 

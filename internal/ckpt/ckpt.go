@@ -76,11 +76,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Seal wraps a payload in the container format and returns the full
 // checkpoint bytes: header, payload, CRC trailer.
 func Seal(payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+	return Build(func(e *Enc) { e.raw(payload) })
+}
+
+// Build returns the sealed container of the payload encode writes, built
+// in one buffer. encode runs twice and must write the same bytes both
+// times: the first pass only counts them, so the second writes into a
+// buffer of the container's exact size, behind the reserved header, and
+// the header and CRC trailer are then filled in place.
+func Build(encode func(*Enc)) []byte {
+	sizer := Enc{sizing: true}
+	encode(&sizer)
+	e := Enc{buf: make([]byte, headerLen, headerLen+sizer.n+4)}
+	encode(&e)
+	out := e.buf
+	copy(out, magic)
+	binary.LittleEndian.PutUint32(out[len(magic):], Version)
+	binary.LittleEndian.PutUint64(out[len(magic)+4:], uint64(len(out)-headerLen))
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
 }
 
@@ -115,41 +127,47 @@ func Open(data []byte) ([]byte, error) {
 	return data[headerLen : headerLen+int(n)], nil
 }
 
-// Read consumes one sealed container from r and returns its payload.
+// Read consumes r to its end and returns the payload of the one sealed
+// container it holds. The read is bounded by the largest container Open
+// accepts.
 func Read(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("ckpt: reading header: %w", ErrTruncated)
+	data, err := io.ReadAll(io.LimitReader(r, int64(headerLen+maxPayload+4+1)))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: reading container: %v: %w", err, ErrTruncated)
 	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("ckpt: bad magic: %w", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(magic):]); v != Version {
-		return nil, fmt.Errorf("%w: got version %d, want %d", ErrVersion, v, Version)
-	}
-	n := binary.LittleEndian.Uint64(hdr[len(magic)+4:])
-	if n > maxPayload {
-		return nil, fmt.Errorf("ckpt: declared payload of %d bytes: %w", n, ErrCorrupt)
-	}
-	rest := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, fmt.Errorf("ckpt: reading %d-byte payload: %w", n, ErrTruncated)
-	}
-	full := append(hdr, rest...)
-	return Open(full)
+	return Open(data)
 }
 
 // Enc is an append-only little-endian encoder building a payload.
 // The zero value is ready to use.
 type Enc struct {
 	buf []byte
+	// sizing marks Build's first pass: it writes nothing and n counts
+	// the bytes the payload takes.
+	sizing bool
+	n      int
 }
 
 // Bytes returns the encoded payload so far.
 func (e *Enc) Bytes() []byte { return e.buf }
 
+// raw appends b as is.
+func (e *Enc) raw(b []byte) {
+	if e.sizing {
+		e.n += len(b)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+
 // U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) U8(v uint8) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, v)
+}
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
@@ -161,10 +179,22 @@ func (e *Enc) Bool(v bool) {
 }
 
 // U32 appends a little-endian uint32.
-func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Enc) U32(v uint32) {
+	if e.sizing {
+		e.n += 4
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
 
 // U64 appends a little-endian uint64.
-func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Enc) U64(v uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
 
 // I64 appends a little-endian int64.
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
@@ -178,12 +208,16 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Bytes32 appends a length-prefixed byte slice (uint32 length).
 func (e *Enc) Bytes32(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.raw(b)
 }
 
 // String appends a length-prefixed string.
 func (e *Enc) String(s string) {
 	e.U32(uint32(len(s)))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 

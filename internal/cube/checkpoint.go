@@ -102,16 +102,46 @@ func (m *Machine) CheckpointBytes() ([]byte, error) {
 			}
 		}
 	}
-	return ckpt.Seal(m.checkpointPayload()), nil
+	return m.sealCheckpoint(), nil
 }
 
-// checkpointPayload builds the checkpoint payload. Callers have
-// verified quiescence (vault.EncodeCkpt re-asserts it).
-func (m *Machine) checkpointPayload() []byte {
-	e := &ckpt.Enc{}
-	e.String(configDigest(&m.Cfg))
+// sealCheckpoint builds the sealed checkpoint container in one buffer:
+// the one sealing path of CheckpointBytes and the run's checkpoint sink.
+// Callers have verified quiescence (vault.EncodeCkpt re-asserts it).
+func (m *Machine) sealCheckpoint() []byte {
+	// Program table: distinct loaded programs in first-appearance order
+	// over the (cube, vault) walk, so the indices below are stable. It
+	// is encoded once, outside ckpt.Build's two passes.
+	var progs []*isa.Program
+	var code [][]byte
+	index := map[*isa.Program]int{}
+	for _, cube := range m.Vaults {
+		for _, v := range cube {
+			if p := v.Program(); p != nil {
+				if _, ok := index[p]; !ok {
+					index[p] = len(progs)
+					progs = append(progs, p)
+					code = append(code, isa.EncodeProgram(p))
+				}
+			}
+		}
+	}
+	digest := configDigest(&m.Cfg)
+	return ckpt.Build(func(e *ckpt.Enc) {
+		e.String(digest)
+		m.encodeFaultPlan(e)
+		e.U32(uint32(len(progs)))
+		for i, p := range progs {
+			e.String(p.Name)
+			e.Bytes32(code[i])
+		}
+		m.encodeState(e, index)
+	})
+}
 
-	// Fault plan by value (it is immutable and flat).
+// encodeFaultPlan writes the fault plan by value (it is immutable and
+// flat).
+func (m *Machine) encodeFaultPlan(e *ckpt.Enc) {
 	if p := m.fplan; p != nil {
 		e.Bool(true)
 		e.U64(p.Seed)
@@ -124,27 +154,11 @@ func (m *Machine) checkpointPayload() []byte {
 	} else {
 		e.Bool(false)
 	}
+}
 
-	// Program table: distinct loaded programs in first-appearance order
-	// over the (cube, vault) walk, so the indices below are stable.
-	var progs []*isa.Program
-	index := map[*isa.Program]int{}
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			if p := v.Program(); p != nil {
-				if _, ok := index[p]; !ok {
-					index[p] = len(progs)
-					progs = append(progs, p)
-				}
-			}
-		}
-	}
-	e.U32(uint32(len(progs)))
-	for _, p := range progs {
-		e.String(p.Name)
-		e.Bytes32(isa.EncodeProgram(p))
-	}
-
+// encodeState writes the vault images, the link shards and the
+// in-progress run; index maps each loaded program to its table entry.
+func (m *Machine) encodeState(e *ckpt.Enc, index map[*isa.Program]int) {
 	// Vault images.
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
@@ -181,7 +195,6 @@ func (m *Machine) checkpointPayload() []byte {
 	} else {
 		e.Bool(false)
 	}
-	return e.Bytes()
 }
 
 // Restore replaces the machine's vaults and link shards with ones

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"sync"
 
-	"ipim/internal/ckpt"
 	"ipim/internal/dram"
 	"ipim/internal/fault"
 	"ipim/internal/isa"
@@ -510,7 +509,7 @@ func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.
 		// run control armed, but no phase has executed — the earliest
 		// point a crash-recovery journal can resume from, and the only
 		// checkpoint a single-phase (sync-free) program ever gets.
-		if err := opts.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
+		if err := opts.CheckpointSink(m.sealCheckpoint()); err != nil {
 			m.Reset()
 			return sim.Stats{}, fmt.Errorf("cube: checkpoint sink: %w", err)
 		}
@@ -575,7 +574,7 @@ func (m *Machine) finishRun(ctx context.Context, keys [][2]int, active []*vault.
 		if ckptOn {
 			if p := runProgress(active, functional); p-lastCkpt >= opts.CheckpointEvery {
 				lastCkpt = p
-				if err := opts.CheckpointSink(ckpt.Seal(m.checkpointPayload())); err != nil {
+				if err := opts.CheckpointSink(m.sealCheckpoint()); err != nil {
 					m.Reset()
 					return sim.Stats{}, fmt.Errorf("cube: checkpoint sink: %w", err)
 				}

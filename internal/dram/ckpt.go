@@ -16,9 +16,16 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"ipim/internal/ckpt"
 )
+
+// ckptHorizon bounds every decoded timestamp. The owning vault drains
+// its controllers to math.MaxInt64/2 and no controller reaches a later
+// time, so a timestamp at or past it can only come from a hostile
+// checkpoint, and timing arithmetic on earlier ones cannot overflow.
+const ckptHorizon = math.MaxInt64 / 2
 
 // EncodeCkpt appends the controller's checkpoint state to e. The
 // request queue must be empty; EncodeCkpt panics otherwise.
@@ -114,6 +121,21 @@ func (c *Controller) DecodeCkpt(d *ckpt.Dec) error {
 	}
 	if len(c.actTimes) > fawACTs {
 		return fmt.Errorf("dram: checkpoint carries %d ACT timestamps (max %d): %w", len(c.actTimes), fawACTs, ckpt.ErrCorrupt)
+	}
+	// Every controller starts at the first epoch and steps by whole
+	// epochs, so any other refresh epoch is unreachable.
+	if refi := int64(c.timing.TREFI); c.nextRefresh <= 0 || c.nextRefresh%refi != 0 {
+		return fmt.Errorf("dram: checkpoint refresh epoch %d is not a positive multiple of tREFI %d: %w", c.nextRefresh, refi, ckpt.ErrCorrupt)
+	}
+	times := append([]int64{c.lastAct, c.nextRefresh, c.refUntil}, c.actTimes...)
+	times = append(times, c.lastActGroup...)
+	for _, b := range c.banks {
+		times = append(times, b.preReady, b.actReady, b.colReady)
+	}
+	for _, t := range times {
+		if t >= ckptHorizon {
+			return fmt.Errorf("dram: checkpoint timestamp %d at or past the horizon %d: %w", t, int64(ckptHorizon), ckpt.ErrCorrupt)
+		}
 	}
 	return nil
 }

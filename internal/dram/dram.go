@@ -405,21 +405,29 @@ func (c *Controller) fawReady() int64 {
 }
 
 // refreshAt performs the pending refresh(es) ending at or after time t
-// and returns the time commands may resume.
+// and returns the time commands may resume. A backlog of k epochs is
+// settled in closed form, not one epoch at a time: refresh j starts at
+// the later of its epoch and the end of refresh j-1 and lasts tRFC, so
+// the last one ends at the latest of refUntil + k·tRFC and, over the
+// epochs j < k, epoch_j + (k-j)·tRFC. That maximum sits at the last
+// epoch when tREFI > tRFC and at the first otherwise.
 func (c *Controller) refreshAt(t int64) int64 {
-	for t >= c.nextRefresh {
-		start := c.nextRefresh
-		if start < c.refUntil {
-			start = c.refUntil
-		}
-		// All banks precharge for refresh.
-		for i := range c.banks {
-			c.banks[i].openRow = -1
-		}
-		c.refUntil = start + int64(c.timing.TRFC)
-		c.nextRefresh += int64(c.timing.TREFI)
-		c.Stats.Refreshes++
+	if t < c.nextRefresh {
+		return c.refUntil
 	}
+	refi, rfc := int64(c.timing.TREFI), int64(c.timing.TRFC)
+	k := (t-c.nextRefresh)/refi + 1
+	start := c.nextRefresh
+	if refi > rfc {
+		start += (k - 1) * (refi - rfc)
+	}
+	c.refUntil = max(c.refUntil, start) + k*rfc
+	// All banks precharge for refresh.
+	for i := range c.banks {
+		c.banks[i].openRow = -1
+	}
+	c.nextRefresh += k * refi
+	c.Stats.Refreshes += k
 	return c.refUntil
 }
 

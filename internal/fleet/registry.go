@@ -125,14 +125,6 @@ func (g *Registry) Pick(key string) (addr string, ok bool) {
 	return g.ring.Lookup(key)
 }
 
-// PickN returns up to n distinct ready workers in the key's failover
-// order (owner first).
-func (g *Registry) PickN(key string, n int) []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ring.LookupN(key, n)
-}
-
 // ReadyCount reports how many workers are in the ring.
 func (g *Registry) ReadyCount() int {
 	g.mu.Lock()

@@ -286,14 +286,8 @@ func (rt *Router) routingKey(r *http.Request, body []byte) string {
 
 // route is the catch-all proxy: admit, key, forward with failover.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	body, ok := obs.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	tenant := r.Header.Get("X-Ipim-Tenant")
@@ -304,7 +298,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 			return
 		}
-		http.Error(w, err.Error(), statusClientClosedRequest)
+		http.Error(w, err.Error(), obs.StatusClientClosedRequest)
 		return
 	}
 	defer rt.sched.Release()
@@ -314,45 +308,81 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		rt.relayStream(w, r, body, key)
 		return
 	}
-	rt.forwardOnce(w, r, body, key)
-}
-
-// statusClientClosedRequest is nginx's non-standard 499 "client closed
-// request", the status the workers answer a vanished caller with too.
-const statusClientClosedRequest = 499
-
-// forwardOnce proxies one buffered request to the key's owner,
-// failing over on transport errors. Worker responses — success or
-// error — are relayed verbatim plus an X-Ipim-Worker header.
-func (rt *Router) forwardOnce(w http.ResponseWriter, r *http.Request, body []byte, key string) {
-	for attempt := 0; ; attempt++ {
-		addr, ok := rt.reg.Pick(key)
-		if !ok {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "no ready workers", http.StatusServiceUnavailable)
-			return
-		}
-		resp, err := rt.forward(r, addr, body)
-		if err != nil {
-			rt.reg.MarkDown(addr)
-			rt.metrics.failovers.Inc()
-			rt.cfg.Logger.Printf("fleet: worker %s failed (%v), failing over", addr, err)
-			if attempt >= rt.cfg.FailoverAttempts {
-				http.Error(w, fmt.Sprintf("no worker could serve the request (last: %v)", err), http.StatusBadGateway)
-				return
-			}
-			continue
-		}
-		defer resp.Body.Close()
-		h := w.Header()
-		for name, vals := range resp.Header {
-			h[name] = vals
-		}
-		h.Set("X-Ipim-Worker", addr)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+	failures := 0
+	resp, addr, err := rt.dispatch(r, key, body, &failures)
+	if err != nil {
+		rt.fail(w, 0, err)
 		return
 	}
+	relay(w, resp, addr)
+}
+
+// errNoWorkers means the ring is empty: no worker is ready.
+var errNoWorkers = errors.New("no ready workers")
+
+// dispatch sends body to the key's owner and returns the first
+// response a worker gives, success or error. A transport error marks
+// the worker down and re-picks: the ring without the dead member hands
+// the key to its new owner. *failures counts consecutive switches that
+// made no progress; past FailoverAttempts of them dispatch gives up.
+// The error it returns then, or errNoWorkers, is the one to fail with.
+func (rt *Router) dispatch(r *http.Request, key string, body []byte, failures *int) (*http.Response, string, error) {
+	for {
+		addr, ok := rt.reg.Pick(key)
+		if !ok {
+			return nil, "", errNoWorkers
+		}
+		resp, err := rt.forward(r, addr, body)
+		if err == nil {
+			return resp, addr, nil
+		}
+		rt.failover(addr, fmt.Sprintf("failed before responding (%v)", err))
+		if *failures++; *failures > rt.cfg.FailoverAttempts {
+			return nil, "", fmt.Errorf("no worker could serve the request (last: %v)", err)
+		}
+	}
+}
+
+// failover takes a failed worker out of the ring and logs why.
+func (rt *Router) failover(addr, why string) {
+	rt.reg.MarkDown(addr)
+	rt.metrics.failovers.Inc()
+	rt.cfg.Logger.Printf("fleet: worker %s %s, failing over", addr, why)
+}
+
+// fail answers a request dispatch could not place: 503 with no ready
+// worker, 502 once failover gave up, both with Retry-After. A stream
+// that already relayed frames has committed its status line (a short
+// 200 body would be a lie), so its connection is torn down instead.
+func (rt *Router) fail(w http.ResponseWriter, sent int, err error) {
+	if sent > 0 {
+		panic(http.ErrAbortHandler)
+	}
+	code := http.StatusBadGateway
+	if errors.Is(err, errNoWorkers) {
+		code = http.StatusServiceUnavailable
+	}
+	w.Header().Set("Retry-After", "1")
+	http.Error(w, err.Error(), code)
+}
+
+// relayHeader copies a worker response's header to w and names the
+// worker that served it.
+func relayHeader(w http.ResponseWriter, resp *http.Response, addr string) {
+	h := w.Header()
+	for name, vals := range resp.Header {
+		h[name] = vals
+	}
+	h.Set("X-Ipim-Worker", addr)
+}
+
+// relay writes a whole worker response to w verbatim, plus the
+// X-Ipim-Worker header.
+func relay(w http.ResponseWriter, resp *http.Response, addr string) {
+	defer resp.Body.Close()
+	relayHeader(w, resp, addr)
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body)
 }
 
 // forward issues the worker-side copy of a request.
@@ -393,25 +423,13 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, body []byt
 	}
 
 	rc := http.NewResponseController(w)
-	sent := 0 // output frames relayed to the client
-	dispatches := 0
+	sent := 0     // output frames relayed to the client
 	failures := 0 // consecutive worker switches with no progress
 	for sent < len(frames) {
-		addr, ok := rt.reg.Pick(key)
-		if !ok {
-			rt.streamFail(w, sent, "no ready workers", http.StatusServiceUnavailable)
-			return
-		}
-		resp, err := rt.forward(r, addr, body[offsets[sent]:])
+		resp, addr, err := rt.dispatch(r, key, body[offsets[sent]:], &failures)
 		if err != nil {
-			rt.reg.MarkDown(addr)
-			rt.metrics.failovers.Inc()
-			rt.cfg.Logger.Printf("fleet: stream worker %s failed before responding (%v)", addr, err)
-			if failures++; failures > rt.cfg.FailoverAttempts {
-				rt.streamFail(w, sent, "no worker could serve the stream", http.StatusBadGateway)
-				return
-			}
-			continue
+			rt.fail(w, sent, err)
+			return
 		}
 		if resp.StatusCode != http.StatusOK {
 			// A deterministic application-level rejection: relay it on a
@@ -420,27 +438,15 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, body []byt
 				resp.Body.Close()
 				panic(http.ErrAbortHandler)
 			}
-			defer resp.Body.Close()
-			h := w.Header()
-			for name, vals := range resp.Header {
-				h[name] = vals
-			}
-			h.Set("X-Ipim-Worker", addr)
-			w.WriteHeader(resp.StatusCode)
-			io.Copy(w, resp.Body)
+			relay(w, resp, addr)
 			return
 		}
-		if dispatches == 0 {
-			h := w.Header()
-			for name, vals := range resp.Header {
-				h[name] = vals
-			}
-			h.Set("X-Ipim-Worker", addr)
+		if sent == 0 {
+			relayHeader(w, resp, addr)
 			// The upstream count covers the suffix; the client gets the
 			// whole stream.
-			h.Set("X-Ipim-Stream-Frames", strconv.Itoa(len(frames)))
+			w.Header().Set("X-Ipim-Stream-Frames", strconv.Itoa(len(frames)))
 		}
-		dispatches++
 		progressed := false
 		br := bufio.NewReader(resp.Body)
 		for sent < len(frames) {
@@ -459,27 +465,14 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, body []byt
 		}
 		resp.Body.Close()
 		if sent < len(frames) {
-			rt.reg.MarkDown(addr)
-			rt.metrics.failovers.Inc()
-			rt.cfg.Logger.Printf("fleet: stream to %s died after %d/%d frame(s), failing over", addr, sent, len(frames))
+			rt.failover(addr, fmt.Sprintf("died after %d/%d stream frame(s)", sent, len(frames)))
 			if progressed {
 				failures = 0
 			} else if failures++; failures > rt.cfg.FailoverAttempts {
-				rt.streamFail(w, sent, "no worker could finish the stream", http.StatusBadGateway)
+				rt.fail(w, sent, errors.New("no worker could finish the stream"))
 				return
 			}
 		}
 	}
 	rt.metrics.streams.Inc()
-}
-
-// streamFail reports a stream that cannot continue: a clean error on a
-// fresh stream, a torn connection on a committed one (the status line
-// is gone; a short 200 body would be a lie).
-func (rt *Router) streamFail(w http.ResponseWriter, sent int, msg string, code int) {
-	if sent > 0 {
-		panic(http.ErrAbortHandler)
-	}
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, msg, code)
 }

@@ -1,9 +1,34 @@
 package obs
 
 import (
+	"errors"
+	"io"
 	"net/http"
 	"strconv"
 )
+
+// StatusClientClosedRequest is nginx's non-standard 499 "client closed
+// request": the caller went away, so no response will be read. It is
+// distinct from 504 so dashboards separate server-side timeouts from
+// client aborts.
+const StatusClientClosedRequest = 499
+
+// ReadBody reads r's body under a limit of max bytes. On failure it
+// answers 413 for an oversized body and 400 otherwise, and reports
+// false.
+func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		}
+		return nil, false
+	}
+	return body, true
+}
 
 // StatusRecorder is an http.ResponseWriter that records the status code
 // and body size of the response written through it, for access logs and

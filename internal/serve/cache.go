@@ -83,13 +83,7 @@ func (c *artifactCache) get(key cacheKey, compile func() (*ipim.Artifact, error)
 	e.elem = c.ll.PushFront(e)
 	c.entries[key] = e
 	c.misses++
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		victim := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.entries, victim.key)
-		c.evictions++
-	}
+	c.trim()
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -137,10 +131,14 @@ func (c *artifactCache) swap(key cacheKey, art *ipim.Artifact, sched *autotune.C
 	ne.elem = c.ll.PushFront(ne)
 	c.entries[key] = ne
 	c.swaps++
+	c.trim()
+}
+
+// trim evicts least recently used entries down to the capacity. The
+// caller holds mu.
+func (c *artifactCache) trim() {
 	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		victim := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
+		victim := c.ll.Remove(c.ll.Back()).(*cacheEntry)
 		delete(c.entries, victim.key)
 		c.evictions++
 	}

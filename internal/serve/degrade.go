@@ -6,12 +6,13 @@ import (
 )
 
 // degradeState implements degraded-mode load shedding under fault
-// pressure: every completed /v1/process run reports its
-// uncorrected-ECC-error count, and when the mean over a sliding window
-// of recent requests exceeds the configured threshold the server sheds
-// load (503 + Retry-After) for a cooldown period. Tripping clears the
-// window, so after the cooldown the first probe requests rebuild the
-// estimate from scratch instead of re-tripping on stale history.
+// pressure: every completed run request — /v1/process, /v1/stream or
+// /v1/simb — reports the uncorrected-ECC-error count summed over its
+// runs, and when the mean over a sliding window of recent requests
+// exceeds the configured threshold the server sheds run requests (503 +
+// Retry-After) for a cooldown period. Tripping clears the window, so
+// after the cooldown the first probe requests rebuild the estimate from
+// scratch instead of re-tripping on stale history.
 type degradeState struct {
 	threshold float64
 	cooldown  time.Duration

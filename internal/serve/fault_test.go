@@ -22,8 +22,8 @@ func TestProcessRetriesTransientFaultThenSucceeds(t *testing.T) {
 		c.Workers = 1 // the retry must land on the machine that faulted
 		c.Faults = &ipim.FaultPlan{Seed: 1, ExecFailFirst: 1}
 		c.MaxRetries = 2
-		c.RetryBackoff = time.Millisecond
 	})
+	s.retryBackoff = time.Millisecond
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, processURL("", "Brighten", ""),
 		bytes.NewReader(pgmBody(t, 32, 16))))
@@ -71,9 +71,8 @@ func TestDegradedModeShedsLoad(t *testing.T) {
 	s := testServer(t, func(c *Config) {
 		c.Faults = &ipim.FaultPlan{Seed: 3, DRAMBitFlipRate: 1, DRAMMultiBitFraction: 1}
 		c.DegradeThreshold = 0.5
-		c.DegradeWindow = 1
-		c.DegradeCooldown = time.Minute
 	})
+	s.degrade = newDegradeState(0.5, 1, time.Minute)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, processURL("", "Brighten", ""),
 		bytes.NewReader(pgmBody(t, 32, 16))))
@@ -116,9 +115,8 @@ func TestDegradedModeRecovers(t *testing.T) {
 	s := testServer(t, func(c *Config) {
 		c.Faults = &ipim.FaultPlan{Seed: 3, DRAMBitFlipRate: 1, DRAMMultiBitFraction: 1}
 		c.DegradeThreshold = 0.5
-		c.DegradeWindow = 1
-		c.DegradeCooldown = time.Minute
 	})
+	s.degrade = newDegradeState(0.5, 1, time.Minute)
 	now := time.Now()
 	s.degrade.now = func() time.Time { return now }
 

@@ -26,6 +26,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"ipim/internal/autotune"
 )
 
 // ckptExt is the journal entry suffix; pending() counts these.
@@ -110,20 +112,8 @@ func (j *ckptJournal) ids() []string {
 }
 
 // pending counts journal entries awaiting a resuming request — the
-// startup-scan inventory and the ipim_checkpoint_journal_pending gauge.
-func (j *ckptJournal) pending() int {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ckptExt {
-			n++
-		}
-	}
-	return n
-}
+// ipim_checkpoint_journal_pending gauge.
+func (j *ckptJournal) pending() int { return len(j.ids()) }
 
 // recoveryState gates /readyz on the checkpoint-journal backlog the
 // server BOOTED with. Only boot-time entries count: a journal entry
@@ -176,12 +166,17 @@ func (rs *recoveryState) backlog() int {
 }
 
 // jobID derives the journal key for one plane run of one request: a
-// content hash over everything that determines the run, so a crashed
-// job is matched exactly by its re-submission and can never collide
-// with a different workload, image or budget.
-func jobID(workload, opts, mode string, maxCycles int64, plane int, body []byte) string {
+// content hash over everything that determines the run, the artifact's
+// tuned schedule (nil: the default) included, so a crashed job is
+// matched exactly by its re-submission under the same artifact and can
+// never collide with a different workload, image, budget or schedule.
+func jobID(workload, opts, mode string, maxCycles int64, sched *autotune.Candidate, plane int, body []byte) string {
+	schedule := "default"
+	if sched != nil {
+		schedule = sched.String()
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|", workload, opts, mode, maxCycles, plane)
+	fmt.Fprintf(h, "%s|%s|%s|%d|%s|%d|", workload, opts, mode, maxCycles, schedule, plane)
 	h.Write(body)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -196,11 +191,8 @@ type jitter struct {
 	rng *rand.Rand
 }
 
-// newJitter builds a backoff source; seed 0 draws one from the clock.
+// newJitter builds a backoff source from seed.
 func newJitter(seed int64) *jitter {
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	return &jitter{rng: rand.New(rand.NewSource(seed))}
 }
 

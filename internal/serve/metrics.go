@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"ipim"
 	"ipim/internal/obs"
 )
 
@@ -26,6 +27,7 @@ type metrics struct {
 
 	streams, streamFrames *obs.Counter
 
+	simRuns     *obs.CounterVec
 	simCycles   *obs.Counter
 	simEnergyPJ *obs.FloatCounter
 }
@@ -51,7 +53,7 @@ func newMetrics(s *Server) *metrics {
 	reg.Func(obs.TypeGauge, "ipim_queue_depth", "Jobs queued or running in the machine pool.", p.queueDepth)
 	reg.Func(obs.TypeCounter, "ipim_worker_panics_total", "Recovered worker panics.", p.panicCount)
 	reg.Func(obs.TypeCounter, "ipim_jobs_cancelled_total", "Pooled jobs aborted by context expiry (queued or mid-run).", p.cancelledCount)
-	reg.Func(obs.TypeCounter, "ipim_cycle_budget_exceeded_total", "Pooled jobs aborted by the execution budget.", p.budgetExceededCount)
+	reg.Func(obs.TypeCounter, "ipim_cycle_budget_exceeded_total", "Pooled jobs aborted by the execution budget.", p.budgetExceeded.Load)
 	reg.FloatFunc(obs.TypeCounter, "ipim_worker_busy_seconds", "Cumulative wall-clock time workers spent running jobs.", p.busySeconds)
 
 	c := s.cache
@@ -99,6 +101,10 @@ func newMetrics(s *Server) *metrics {
 	mt.streamFrames = reg.Counter("ipim_stream_frames_total", "Output frames delivered on /v1/stream.")
 	mt.simCycles = reg.Counter("ipim_simulated_cycles_total", "Accelerator cycles simulated for served requests.")
 	mt.simEnergyPJ = reg.FloatCounter("ipim_simulated_energy_picojoules_total", "Simulated accelerator energy for served requests.")
+	mt.simRuns = reg.CounterVec("ipim_sim_runs_total", "Simulator runs of served requests (one per plane, frame or SIMB program), by mode.", "mode")
+	for _, m := range []ipim.Mode{ipim.CycleMode, ipim.FunctionalMode} {
+		mt.simRuns.With(m.String())
+	}
 	reg.Func(obs.TypeCounter, "ipim_sim_memo_hits_total", "Cycle-mode runs answered from the timing memo by a functional replay.", p.memoHits.Load)
 	reg.Func(obs.TypeCounter, "ipim_sim_memo_misses_total", "Cycle-mode runs eligible for the timing memo but simulated in full.", p.memoMisses.Load)
 	reg.Func(obs.TypeCounter, "ipim_sim_fastforwarded_cycles_total", "Idle simulated cycles skipped by fast-forward instead of stepped.", p.ffCycles.Load)
@@ -121,12 +127,13 @@ func (mt *metrics) observeRequest(route string, status int, dur time.Duration) {
 	mt.latency.With(route).Observe(dur.Seconds())
 }
 
-// observeRun records one simulated accelerator run, including its
-// injected-fault tallies.
-func (mt *metrics) observeRun(cycles int64, energyJ float64, injected, corrected, uncorrected int64) {
-	mt.simCycles.Add(cycles)
-	mt.simEnergyPJ.Add(energyJ * 1e12)
-	mt.faultsInjected.Add(injected)
-	mt.faultsCorrected.Add(corrected)
-	mt.faultsUncorrected.Add(uncorrected)
+// observeRun records the simulated runs of one request, including
+// their injected-fault tallies.
+func (mt *metrics) observeRun(t *tally, mode ipim.Mode) {
+	mt.simRuns.With(mode.String()).Add(t.runs)
+	mt.simCycles.Add(t.cycles)
+	mt.simEnergyPJ.Add(t.energyJ * 1e12)
+	mt.faultsInjected.Add(t.injected)
+	mt.faultsCorrected.Add(t.corrected)
+	mt.faultsUncorrected.Add(t.uncorrected)
 }

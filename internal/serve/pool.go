@@ -27,10 +27,13 @@ var (
 	errWorkerPanic = errors.New("serve: worker recovered from panic")
 )
 
-// job is one unit of simulator work: run fn on a pooled machine.
+// jobFunc is one unit of simulator work, run on a pooled machine.
+type jobFunc func(ctx context.Context, m *ipim.Machine) error
+
+// job is a queued jobFunc.
 type job struct {
 	ctx  context.Context
-	fn   func(ctx context.Context, m *ipim.Machine) error
+	fn   jobFunc
 	done chan error // buffered; the worker never blocks on it
 }
 
@@ -130,20 +133,10 @@ func newPool(cfg ipim.Config, workers, queueCap, parallelism int, plan *ipim.Fau
 // as soon as the context expires; the machine is never occupied by a
 // request nobody is waiting for beyond that interrupt latency. If the
 // queue is full it fails immediately with errQueueFull.
-func (p *pool) submit(ctx context.Context, fn func(ctx context.Context, m *ipim.Machine) error) error {
-	j := &job{ctx: ctx, fn: fn, done: make(chan error, 1)}
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return errDraining
-	}
-	select {
-	case p.queue <- j:
-		p.depth.Add(1)
-		p.mu.RUnlock()
-	default:
-		p.mu.RUnlock()
-		return errQueueFull
+func (p *pool) submit(ctx context.Context, fn jobFunc) error {
+	j, err := p.enqueue(ctx, fn)
+	if err != nil {
+		return err
 	}
 	select {
 	case err := <-j.done:
@@ -165,22 +158,30 @@ func (p *pool) submit(ctx context.Context, fn func(ctx context.Context, m *ipim.
 // submitWait waits for the worker to hand the job back instead of
 // abandoning it, so the caller can safely reclaim whatever fn was
 // writing to.
-func (p *pool) submitWait(ctx context.Context, fn func(ctx context.Context, m *ipim.Machine) error) error {
+func (p *pool) submitWait(ctx context.Context, fn jobFunc) error {
+	j, err := p.enqueue(ctx, fn)
+	if err != nil {
+		return err
+	}
+	return <-j.done
+}
+
+// enqueue queues fn without blocking: errDraining once drain has begun,
+// errQueueFull when the queue has no free slot.
+func (p *pool) enqueue(ctx context.Context, fn jobFunc) (*job, error) {
 	j := &job{ctx: ctx, fn: fn, done: make(chan error, 1)}
 	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if p.closed {
-		p.mu.RUnlock()
-		return errDraining
+		return nil, errDraining
 	}
 	select {
 	case p.queue <- j:
 		p.depth.Add(1)
-		p.mu.RUnlock()
+		return j, nil
 	default:
-		p.mu.RUnlock()
-		return errQueueFull
+		return nil, errQueueFull
 	}
-	return <-j.done
 }
 
 // worker owns one machine for the life of the pool and drains the
@@ -283,10 +284,6 @@ func (p *pool) panicCount() int64 { return p.panics.Load() }
 // cancelledCount returns the number of jobs aborted by context expiry
 // (while queued or mid-run).
 func (p *pool) cancelledCount() int64 { return p.cancelled.Load() }
-
-// budgetExceededCount returns the number of jobs aborted by the
-// execution budget.
-func (p *pool) budgetExceededCount() int64 { return p.budgetExceeded.Load() }
 
 // busySeconds returns the cumulative wall-clock time workers have
 // spent running jobs, including time on jobs still in flight.

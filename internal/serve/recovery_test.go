@@ -76,11 +76,9 @@ func TestChaosCrashRecoverySoak(t *testing.T) {
 
 	chaotic := testServer(t, func(c *Config) {
 		c.CheckpointDir = t.TempDir()
-		c.ChaosCrashAfterCheckpoints = 1
 		c.MaxRetries = 3
-		c.RetryBackoff = time.Millisecond
-		c.RetrySeed = 42
 	})
+	chaotic.chaosCrashAfter, chaotic.retryBackoff, chaotic.backoff = 1, time.Millisecond, newJitter(42)
 	chaosTS := httptest.NewServer(chaotic)
 	defer chaosTS.Close()
 
@@ -165,9 +163,9 @@ func TestDrainRestartResumesJournal(t *testing.T) {
 	// is torn down.
 	a := testServer(t, func(c *Config) {
 		c.CheckpointDir = dir
-		c.ChaosCrashAfterCheckpoints = 2
 		c.MaxRetries = -1
 	})
+	a.chaosCrashAfter = 2
 	aTS := httptest.NewServer(a)
 	status, _, out := postJob(t, aTS.URL, job, body)
 	if status != http.StatusInternalServerError {
@@ -210,7 +208,7 @@ func TestReadyzDuringRecoveryBacklog(t *testing.T) {
 	dir := t.TempDir()
 	job := chaosJob{wl: "Brighten", seed: 11}
 	body := chaosBody(t, job.seed)
-	id := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, 0, body)
+	id := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, nil, 0, body)
 
 	// Seed the journal the way a crashed process leaves it: the entry a
 	// client will re-submit, plus an orphan nobody ever will.
@@ -312,7 +310,7 @@ func TestJournalDiscardsCorruptEntry(t *testing.T) {
 	job := chaosJob{wl: "Brighten", seed: 9}
 	body := chaosBody(t, job.seed)
 	// Plant garbage under the exact id the request will look up.
-	id := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, 0, body)
+	id := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, nil, 0, body)
 	if err := s.journal.write(id, []byte("not a checkpoint")); err != nil {
 		t.Fatal(err)
 	}

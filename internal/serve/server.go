@@ -31,14 +31,12 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ipim"
-	"ipim/internal/autotune"
 	"ipim/internal/host"
 	"ipim/internal/obs"
 )
@@ -65,10 +63,9 @@ type Config struct {
 	// CacheCap bounds the compiled-artifact LRU (default 32 entries).
 	CacheCap int
 	// DefaultTimeout applies when the request has no timeout query
-	// parameter (default 60s); MaxTimeout caps client-requested
-	// timeouts (default 5m).
+	// parameter (default 60s). Client-requested timeouts are capped at
+	// 5 minutes.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// MaxCycles is the hard per-run simulated-cycle budget. It applies
 	// to every run and caps the per-request max_cycles query parameter
 	// (clients may tighten the budget, never loosen it). A run that
@@ -93,15 +90,6 @@ type Config struct {
 	// transient injected fault (ipim.ErrTransientFault). Default 2;
 	// negative disables retries.
 	MaxRetries int
-	// RetryBackoff scales the full-jitter retry wait: attempt k sleeps
-	// uniform in [0, RetryBackoff<<k), capped (default 25ms base). The
-	// jitter decorrelates retry bursts when many requests trip over the
-	// same transient-fault window; the per-request deadline still
-	// applies.
-	RetryBackoff time.Duration
-	// RetrySeed seeds the jittered-backoff source so tests get a
-	// deterministic retry schedule (0: seeded from the clock).
-	RetrySeed int64
 
 	// CheckpointDir enables crash-recovery journaling: every journaled
 	// run streams a machine checkpoint into <dir>/<jobID>.ckpt at phase
@@ -113,19 +101,11 @@ type Config struct {
 	// journal checkpoints (default 1: every covered barrier). Larger
 	// values trade resume granularity for journal write traffic.
 	CheckpointEvery int64
-	// ChaosCrashAfterCheckpoints is the chaos-testing knob: a fresh
-	// (non-resumed) journaled plane run panics on its worker after
-	// writing this many checkpoints, at most once per distinct job, so
-	// the recovery path is exercised deterministically under load.
-	// 0 (the default, and the only sane production value) disables it.
-	ChaosCrashAfterCheckpoints int
 	// DegradeThreshold trips degraded mode when the mean uncorrected
-	// ECC error count over the last DegradeWindow completed requests
-	// exceeds it; while degraded the server sheds /v1/process load with
-	// 503 + Retry-After for DegradeCooldown. 0 disables degraded mode.
+	// ECC error count over the last 16 completed run requests exceeds
+	// it; while degraded the server sheds run requests with 503 +
+	// Retry-After for 5 seconds. 0 disables degraded mode.
 	DegradeThreshold float64
-	DegradeWindow    int           // default 16 requests
-	DegradeCooldown  time.Duration // default 5s
 
 	// TuneWorkers enables background schedule tuning: unknown artifact
 	// keys are queued for an internal/autotune search using this many
@@ -142,11 +122,6 @@ type Config struct {
 	// before the artifact is swapped (default 1.02; 1.0 swaps on any
 	// non-regression).
 	TuneMargin float64
-	// TuneStrategy picks the search strategy (default "hill").
-	TuneStrategy string
-	// TuneQueueCap bounds the background tuning queue (default 16; a
-	// full queue drops the enqueue, to be retried by a later request).
-	TuneQueueCap int
 
 	// StreamMaxFrames caps the frame count of one /v1/stream body
 	// (default 1024). The body size is already bounded by MaxBodyBytes;
@@ -172,15 +147,11 @@ type Config struct {
 	// HeartbeatInterval is the registration beat period (default 1s).
 	HeartbeatInterval time.Duration
 
-	// ChaosStreamAbortAfterFrames is a chaos knob for the fleet failover
-	// path: the first stream served after boot (or after SetStreamChaos)
-	// aborts its connection mid-stream once this many output frames have
-	// been written, exactly once. 0 disables it.
-	ChaosStreamAbortAfterFrames int
-	// ChaosStreamStallAfterFrames is the process-level variant: the
-	// first stream stalls forever after this many output frames, so an
-	// external harness can SIGKILL the worker at a deterministic point.
-	// 0 disables it.
+	// ChaosStreamStallAfterFrames is a chaos knob for the fleet
+	// failover path: the first stream stalls forever after this many
+	// output frames, so an external harness can SIGKILL the worker at a
+	// deterministic point. 0 disables it. SetStreamChaos arms the
+	// in-process variant, which aborts the connection instead.
 	ChaosStreamStallAfterFrames int
 }
 
@@ -203,9 +174,6 @@ func (c *Config) fillDefaults() {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
@@ -224,26 +192,11 @@ func (c *Config) fillDefaults() {
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1
 	}
-	if c.DegradeWindow == 0 {
-		c.DegradeWindow = 16
-	}
-	if c.DegradeCooldown == 0 {
-		c.DegradeCooldown = 5 * time.Second
-	}
 	if c.TuneMargin == 0 {
 		c.TuneMargin = 1.02
-	}
-	if c.TuneStrategy == "" {
-		c.TuneStrategy = "hill"
-	}
-	if c.TuneQueueCap == 0 {
-		c.TuneQueueCap = 16
 	}
 	if c.StreamMaxFrames == 0 {
 		c.StreamMaxFrames = 1024
@@ -256,6 +209,9 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// maxTimeout caps a client's timeout query parameter.
+const maxTimeout = 5 * time.Minute
+
 // Server is the HTTP image-processing service. Create with New, mount
 // it (it implements http.Handler), and call Shutdown on SIGTERM.
 type Server struct {
@@ -264,22 +220,31 @@ type Server struct {
 	cache   *artifactCache
 	metrics *metrics
 	meter   *host.Meter
-	degrade *degradeState
 	tuner   *tuner // nil when background tuning is disabled
 	mux     *http.ServeMux
 
 	journal  *ckptJournal   // nil when crash-recovery journaling is disabled
 	recovery *recoveryState // nil without a journal; gates /readyz on the boot backlog
-	backoff  *jitter
+
+	// Knobs that only in-package tests change; New sets the values
+	// every deployment runs with.
+	degrade      *degradeState // window of 16 requests, 5s cooldown
+	backoff      *jitter       // seeded from the clock
+	retryBackoff time.Duration // base of the full-jitter retry wait (25ms)
+	// chaosCrashAfter makes a fresh (non-resumed) journaled plane run
+	// panic on its worker after writing this many checkpoints, at most
+	// once per job, so tests exercise the recovery path
+	// deterministically under load. 0 disables it.
+	chaosCrashAfter int
 
 	heartbeat *heartbeater // nil in standalone mode
 
 	// chaosCrashed tracks job ids that already took their injected
 	// chaos crash, so a chaos run makes progress on the second attempt.
 	chaosCrashed sync.Map
-	// chaosStreamAbort is ChaosStreamAbortAfterFrames, atomic so tests
-	// can re-arm it at runtime (SetStreamChaos); chaosStreamClaimed
-	// makes either stream-chaos knob single-shot.
+	// chaosStreamAbort is the SetStreamChaos knob, atomic so tests can
+	// re-arm it at runtime; chaosStreamClaimed makes either stream-chaos
+	// knob single-shot.
 	chaosStreamAbort   atomic.Int64
 	chaosStreamClaimed atomic.Bool
 
@@ -300,22 +265,25 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		pool:     p,
-		cache:    newArtifactCache(cfg.CacheCap),
-		meter:    host.NewMeter(cfg.Bus),
-		degrade:  newDegradeState(cfg.DegradeThreshold, cfg.DegradeWindow, cfg.DegradeCooldown),
-		backoff:  newJitter(cfg.RetrySeed),
-		mux:      http.NewServeMux(),
-		draining: make(chan struct{}),
+	fail := func(err error) (*Server, error) {
+		p.drain(context.Background())
+		return nil, err
 	}
-	s.chaosStreamAbort.Store(int64(cfg.ChaosStreamAbortAfterFrames))
+	s := &Server{
+		cfg:          cfg,
+		pool:         p,
+		cache:        newArtifactCache(cfg.CacheCap),
+		meter:        host.NewMeter(cfg.Bus),
+		degrade:      newDegradeState(cfg.DegradeThreshold, 16, 5*time.Second),
+		backoff:      newJitter(time.Now().UnixNano()),
+		retryBackoff: 25 * time.Millisecond,
+		mux:          http.NewServeMux(),
+		draining:     make(chan struct{}),
+	}
 	if cfg.CheckpointDir != "" {
 		j, err := newCkptJournal(cfg.CheckpointDir)
 		if err != nil {
-			p.drain(context.Background())
-			return nil, err
+			return fail(err)
 		}
 		s.journal = j
 		s.recovery = newRecoveryState(j.ids(), cfg.RecoveryGrace)
@@ -323,12 +291,9 @@ func New(cfg Config) (*Server, error) {
 			cfg.Logger.Printf("checkpoint journal: %d interrupted job(s) in %s awaiting resume", n, cfg.CheckpointDir)
 		}
 	}
-	t, err := newTuner(&s.cfg, s.cache, s.pool)
-	if err != nil {
-		p.drain(context.Background())
-		return nil, err
+	if s.tuner, err = newTuner(&s.cfg, s.cache, s.pool); err != nil {
+		return fail(err)
 	}
-	s.tuner = t
 	s.metrics = newMetrics(s)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -340,8 +305,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/tune", s.handleTune)
 	if cfg.RouterURL != "" {
 		if err := s.startHeartbeat(); err != nil {
-			p.drain(context.Background())
-			return nil, err
+			return fail(err)
 		}
 	}
 	return s, nil
@@ -443,18 +407,6 @@ func (v verdict) refuse(w http.ResponseWriter) {
 	http.Error(w, v.msg, http.StatusServiceUnavailable)
 }
 
-// refuseRun refuses a run request while the worker is draining or
-// degraded, and reports whether it did. A journal backlog still admits
-// runs: re-submissions are what resume the journaled jobs.
-func (s *Server) refuseRun(w http.ResponseWriter) bool {
-	v := s.health()
-	if v.state != "draining" && v.state != "degraded" {
-		return false
-	}
-	v.refuse(w)
-	return true
-}
-
 // handleReadyz is readiness: 503 in every state but ready — take the
 // worker out of the balancer — and 200 otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -491,140 +443,41 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runResult carries what a pooled run produced back to the handler.
+// runResult is what a pooled /v1/process run hands back to the handler.
 type runResult struct {
+	tally
 	planes  []*ipim.Image // 1 (PGM) or 3 (PPM)
 	bins    []int32       // histogram pipelines
-	cycles  int64         // summed across plane runs
-	issued  int64
-	energyJ float64
-
-	// Injected-fault accounting (zero without a fault plan).
-	injected    int64 // DRAM flip events + link faults
-	corrected   int64 // ECC-corrected DRAM events
-	uncorrected int64 // detected-uncorrectable DRAM events
-
-	// resumed reports whether any plane of the request was resumed from
-	// the checkpoint journal rather than run from the start.
-	resumed bool
+	resumed bool          // a plane resumed from the checkpoint journal
 }
 
 func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseRun(w) {
-		return
-	}
-
-	q := r.URL.Query()
-	wlName := q.Get("workload")
-	if wlName == "" {
-		http.Error(w, "missing required query parameter: workload", http.StatusBadRequest)
-		return
-	}
-	wl, err := ipim.WorkloadByName(wlName)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	optName := q.Get("opts")
-	if optName == "" {
-		optName = "opt"
-	}
-	opts, err := ipim.OptionsByName(optName)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	timeout, err := s.requestTimeout(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	budget, err := s.requestBudget(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	mode, err := requestMode(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	budget.Mode = mode
-	functional := mode == ipim.FunctionalMode
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	body, ok := s.readBody(w, r)
+	req, ok := s.parseRun(w, r)
 	if !ok {
 		return
 	}
-
-	// Decode the input: binary PGM (one plane) or PPM (three planes).
-	var planes []*ipim.Image
-	var ppm bool
-	switch {
-	case bytes.HasPrefix(body, []byte("P5")):
-		im, err := ipim.ReadPGM(bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		planes = []*ipim.Image{im}
-	case bytes.HasPrefix(body, []byte("P6")):
-		rp, gp, bp, err := ipim.ReadPPM(bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		planes = []*ipim.Image{rp, gp, bp}
-		ppm = true
-	default:
-		http.Error(w, "body must be a binary PGM (P5) or PPM (P6) image", http.StatusBadRequest)
-		return
-	}
-	imgW, imgH := planes[0].W, planes[0].H
-
-	// Compile (or fetch) the artifact. Compilation happens on the
-	// request goroutine — it is host-side work; only simulator runs
-	// occupy pooled machines.
-	key := cacheKey{Workload: wl.Name, W: imgW, H: imgH, Opts: opts}
-	art, sched, hit, err := s.cache.get(key, func() (*ipim.Artifact, error) {
-		cfg := s.cfg.Machine
-		return ipim.Compile(&cfg, wl.Build().Pipe, imgW, imgH, opts)
-	})
+	planes, ppm, err := decodePlanes(req.body)
 	if err != nil {
-		http.Error(w, "compile: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Hand the key to the background tuner (single-flight per key;
-	// no-op when tuning is disabled or the key was already submitted).
-	s.tuner.maybeEnqueue(key, wl)
+	a, ok := s.fetch(w, &req, planes[0].W, planes[0].H)
+	if !ok {
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
+	defer cancel()
 
 	// Run on a pooled machine, retrying transient injected faults (and,
 	// when the checkpoint journal is on, crashed workers — the retry
 	// resumes from the last journaled barrier) with full-jitter backoff
-	// under the request deadline. A tuned artifact carries its
-	// schedule's DRAM policies; they are timing-only (never data),
-	// applied for this run and restored before the machine goes back to
-	// the pool.
-	jid := func(plane int) string {
-		return jobID(wl.Name, optName, mode.String(), budget.MaxCycles, plane, body)
-	}
+	// under the request deadline.
 	res := &runResult{}
 	run := func() error {
 		*res = runResult{}
-		return s.pool.submit(ctx, func(ctx context.Context, m *ipim.Machine) error {
-			if sched != nil {
-				m.SetDRAMPolicy(sched.Page, sched.Sched)
-				defer m.SetDRAMPolicy(s.cfg.Machine.Page, s.cfg.Machine.Sched)
-			}
-			return s.runOn(ctx, m, art, planes, budget, res, jid)
-		})
+		return s.pool.submit(ctx, s.tunedJob(&a, func(ctx context.Context, m *ipim.Machine) error {
+			return s.runOn(ctx, m, &req, &a, planes, res)
+		}))
 	}
 	retryable := func(err error) bool {
 		if errors.Is(err, ipim.ErrTransientFault) {
@@ -640,7 +493,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		retries++
 		s.metrics.retries.Inc()
 		select {
-		case <-time.After(s.backoff.backoff(s.cfg.RetryBackoff, retries-1)):
+		case <-time.After(s.backoff.backoff(s.retryBackoff, retries-1)):
 		case <-ctx.Done():
 		}
 		if ctx.Err() != nil {
@@ -650,11 +503,10 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		err = run()
 	}
 	if err != nil {
-		s.failProcess(w, err)
+		failRun(w, err)
 		return
 	}
-	s.degrade.observe(res.uncorrected)
-	s.metrics.observeRun(res.cycles, res.energyJ, res.injected, res.corrected, res.uncorrected)
+	s.record(&res.tally, req.run.Mode)
 
 	// Encode the response body first so the transfer accounting and
 	// Content-Length cover the real payload.
@@ -663,37 +515,25 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case res.bins != nil:
 		contentType = "application/json"
-		if err := json.NewEncoder(&buf).Encode(map[string]any{
-			"workload": wl.Name, "bins": res.bins,
-		}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		err = json.NewEncoder(&buf).Encode(map[string]any{"workload": req.wl.Name, "bins": res.bins})
 	case ppm:
 		contentType = "image/x-portable-pixmap"
-		if err := ipim.WritePPM(&buf, res.planes[0], res.planes[1], res.planes[2]); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		err = ipim.WritePPM(&buf, res.planes[0], res.planes[1], res.planes[2])
 	default:
 		contentType = "image/x-portable-graymap"
-		if err := ipim.WritePGM(&buf, res.planes[0]); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		err = ipim.WritePGM(&buf, res.planes[0])
 	}
-	transferNS := s.meter.Record(int64(len(body)), int64(buf.Len()))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	transferNS := s.meter.Record(int64(len(req.body)), int64(buf.Len()))
 
 	h := w.Header()
 	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	h.Set("X-Ipim-Workload", wl.Name)
-	h.Set("X-Ipim-Config", optName)
-	h.Set("X-Ipim-Image", fmt.Sprintf("%dx%d", imgW, imgH))
-	h.Set("X-Ipim-Cache", cacheLabel(hit))
-	h.Set("X-Ipim-Schedule", scheduleLabel(sched))
-	h.Set("X-Ipim-Mode", mode.String())
-	if !functional {
+	a.setHeaders(h, &req)
+	if req.run.Mode != ipim.FunctionalMode {
 		// Functional runs carry no cycle clock, so the timing- and
 		// energy-accounting headers would be zeros; omit them rather
 		// than report numbers that mean nothing.
@@ -714,37 +554,47 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// runOn executes every plane of a request on one pooled machine,
-// accumulating the simulated accounting into res. ctx and budget flow
-// into the simulator: mid-run cancellation and cycle-budget aborts
-// surface as ipim.ErrCancelled / ipim.ErrCycleBudget. jid names each
-// plane's checkpoint-journal entry (ignored without a journal).
-func (s *Server) runOn(ctx context.Context, m *ipim.Machine, art *ipim.Artifact, planes []*ipim.Image, budget ipim.RunOptions, res *runResult, jid func(plane int) string) error {
-	nPEs, nVaults := s.cfg.Machine.TotalPEs(), s.cfg.Machine.TotalVaults()
-	accumulate := func(stats *ipim.Stats) {
-		res.cycles += stats.Cycles
-		res.issued += stats.Issued
-		res.energyJ += ipim.EnergyOf(stats, nPEs, nVaults).Total()
-		res.corrected += stats.DRAM.ECCCorrected
-		res.uncorrected += stats.DRAM.ECCUncorrected
-		res.injected += stats.DRAM.ECCCorrected + stats.DRAM.ECCUncorrected + stats.NoC.LinkFaults
+// decodePlanes decodes a /v1/process body: a binary PGM (one plane) or
+// PPM (three planes).
+func decodePlanes(body []byte) (planes []*ipim.Image, ppm bool, err error) {
+	switch {
+	case bytes.HasPrefix(body, []byte("P5")):
+		im, err := ipim.ReadPGM(bytes.NewReader(body))
+		if err != nil {
+			return nil, false, err
+		}
+		return []*ipim.Image{im}, false, nil
+	case bytes.HasPrefix(body, []byte("P6")):
+		rp, gp, bp, err := ipim.ReadPPM(bytes.NewReader(body))
+		if err != nil {
+			return nil, false, err
+		}
+		return []*ipim.Image{rp, gp, bp}, true, nil
 	}
-	if art.Plan.Pipe.Histogram {
-		_, bins, stats, err := s.planeRun(ctx, m, art, planes[0], budget, jid(0), true, res)
+	return nil, false, errors.New("body must be a binary PGM (P5) or PPM (P6) image")
+}
+
+// runOn executes every plane of a request on one pooled machine,
+// accumulating the simulated accounting into res. ctx and the request's
+// run options flow into the simulator: mid-run cancellation and
+// cycle-budget aborts surface as ipim.ErrCancelled / ipim.ErrCycleBudget.
+func (s *Server) runOn(ctx context.Context, m *ipim.Machine, req *runRequest, a *artifact, planes []*ipim.Image, res *runResult) error {
+	if a.Plan.Pipe.Histogram {
+		_, bins, stats, err := s.planeRun(ctx, m, req, a, planes[0], 0, res)
 		if err != nil {
 			return err
 		}
 		res.bins = bins
-		accumulate(&stats)
+		res.add(&stats, &s.cfg.Machine)
 		return nil
 	}
 	for i, p := range planes {
-		out, _, stats, err := s.planeRun(ctx, m, art, p, budget, jid(i), false, res)
+		out, _, stats, err := s.planeRun(ctx, m, req, a, p, i, res)
 		if err != nil {
 			return err
 		}
 		res.planes = append(res.planes, out)
-		accumulate(&stats)
+		res.add(&stats, &s.cfg.Machine)
 	}
 	return nil
 }
@@ -758,15 +608,17 @@ func (s *Server) runOn(ctx context.Context, m *ipim.Machine, art *ipim.Artifact,
 // barrier. The journal entry is removed only when the run completes;
 // every failure (panic, cancellation, budget abort, process death)
 // leaves the last checkpoint for the next attempt.
-func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifact, img *ipim.Image, budget ipim.RunOptions, id string, hist bool, res *runResult) (*ipim.Image, []int32, ipim.Stats, error) {
+func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, req *runRequest, a *artifact, img *ipim.Image, plane int, res *runResult) (*ipim.Image, []int32, ipim.Stats, error) {
+	hist := a.Plan.Pipe.Histogram
 	if s.journal == nil {
 		if hist {
-			bins, stats, err := ipim.RunHistogramContext(ctx, m, art, img, budget)
+			bins, stats, err := ipim.RunHistogramContext(ctx, m, a.Artifact, img, req.run)
 			return nil, bins, stats, err
 		}
-		out, stats, err := ipim.RunContext(ctx, m, art, img, budget)
+		out, stats, err := ipim.RunContext(ctx, m, a.Artifact, img, req.run)
 		return out, nil, stats, err
 	}
+	id := jobID(req.wl.Name, req.optName, req.run.Mode.String(), req.run.MaxCycles, a.sched, plane, req.body)
 	resumed := false
 	if data, ok := s.journal.load(id); ok {
 		switch err := m.Restore(data); {
@@ -782,7 +634,7 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifa
 			s.journalRemove(id)
 		}
 	}
-	opts := budget
+	opts := req.run
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	writes := 0
 	opts.CheckpointSink = func(data []byte) error {
@@ -792,7 +644,7 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifa
 		s.metrics.ckptWrites.Inc()
 		s.metrics.ckptBytes.Add(int64(len(data)))
 		writes++
-		if n := s.cfg.ChaosCrashAfterCheckpoints; n > 0 && !resumed && writes == n {
+		if n := s.chaosCrashAfter; n > 0 && !resumed && writes == n {
 			if _, crashed := s.chaosCrashed.LoadOrStore(id, true); !crashed {
 				panic(fmt.Sprintf("chaos: injected crash after %d checkpoint(s) of job %s", n, id))
 			}
@@ -807,13 +659,13 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, art *ipim.Artifa
 	)
 	switch {
 	case resumed && hist:
-		bins, stats, err = ipim.ResumeHistogram(ctx, m, art, opts)
+		bins, stats, err = ipim.ResumeHistogram(ctx, m, a.Artifact, opts)
 	case resumed:
-		out, stats, err = ipim.ResumeRun(ctx, m, art, opts)
+		out, stats, err = ipim.ResumeRun(ctx, m, a.Artifact, opts)
 	case hist:
-		bins, stats, err = ipim.RunHistogramContext(ctx, m, art, img, opts)
+		bins, stats, err = ipim.RunHistogramContext(ctx, m, a.Artifact, img, opts)
 	default:
-		out, stats, err = ipim.RunContext(ctx, m, art, img, opts)
+		out, stats, err = ipim.RunContext(ctx, m, a.Artifact, img, opts)
 	}
 	if err != nil {
 		return nil, nil, stats, err
@@ -841,44 +693,21 @@ func (s *Server) journalRemove(id string) {
 // hand-written program can loop forever, and the deadline/budget
 // machinery is what guarantees the worker comes back.
 func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseRun(w) {
-		return
-	}
-	q := r.URL.Query()
-	timeout, err := s.requestTimeout(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	budget, err := s.requestBudget(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	body, ok := s.readBody(w, r)
+	req, ok := s.parseRun(w, r)
 	if !ok {
 		return
 	}
-	prog, err := ipim.Assemble(string(body))
+	prog, err := assemble(req.body)
 	if err != nil {
-		http.Error(w, "assemble: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := prog.Finalize(); err != nil {
-		http.Error(w, "finalize: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
 	defer cancel()
 
 	var stats ipim.Stats
 	err = s.pool.submit(ctx, func(ctx context.Context, m *ipim.Machine) error {
-		st, err := m.RunSameContext(ctx, prog, budget)
+		st, err := m.RunSameContext(ctx, prog, req.run)
 		if err != nil {
 			return err
 		}
@@ -886,127 +715,29 @@ func (s *Server) handleSimb(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		s.failProcess(w, err)
+		failRun(w, err)
 		return
 	}
-	energyJ := ipim.EnergyOf(&stats, s.cfg.Machine.TotalPEs(), s.cfg.Machine.TotalVaults()).Total()
-	s.metrics.observeRun(stats.Cycles, energyJ,
-		stats.DRAM.ECCCorrected+stats.DRAM.ECCUncorrected+stats.NoC.LinkFaults,
-		stats.DRAM.ECCCorrected, stats.DRAM.ECCUncorrected)
+	var t tally
+	t.add(&stats, &s.cfg.Machine)
+	s.record(&t, req.run.Mode)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"cycles":    stats.Cycles,
 		"issued":    stats.Issued,
 		"ipc":       stats.IPC(),
-		"energy_pj": energyJ * 1e12,
+		"energy_pj": t.energyJ * 1e12,
 	})
 }
 
-// readBody reads the request body under the MaxBodyBytes cap. On
-// failure it writes the error response — 413 for an oversized body, 400
-// otherwise — and reports false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// assemble assembles and finalizes a /v1/simb body.
+func assemble(body []byte) (*ipim.Program, error) {
+	prog, err := ipim.Assemble(string(body))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		}
-		return nil, false
+		return nil, fmt.Errorf("assemble: %w", err)
 	}
-	return body, true
-}
-
-// requestTimeout resolves the request deadline from the timeout query
-// parameter, defaulted and capped by the server configuration.
-func (s *Server) requestTimeout(q url.Values) (time.Duration, error) {
-	timeout := s.cfg.DefaultTimeout
-	if tq := q.Get("timeout"); tq != "" {
-		d, err := time.ParseDuration(tq)
-		if err != nil || d <= 0 {
-			return 0, fmt.Errorf("bad timeout %q", tq)
-		}
-		timeout = d
+	if err := prog.Finalize(); err != nil {
+		return nil, fmt.Errorf("finalize: %w", err)
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return timeout, nil
-}
-
-// requestBudget resolves the effective cycle budget for one request:
-// the server-wide Config.MaxCycles, optionally TIGHTENED by the
-// max_cycles query parameter. A client can never loosen the server
-// cap.
-func (s *Server) requestBudget(q url.Values) (ipim.RunOptions, error) {
-	b := ipim.RunOptions{MaxCycles: s.cfg.MaxCycles}
-	if mq := q.Get("max_cycles"); mq != "" {
-		n, err := strconv.ParseInt(mq, 10, 64)
-		if err != nil || n <= 0 {
-			return b, fmt.Errorf("bad max_cycles %q (want a positive integer)", mq)
-		}
-		if s.cfg.MaxCycles == 0 || n < s.cfg.MaxCycles {
-			b.MaxCycles = n
-		}
-	}
-	return b, nil
-}
-
-// requestMode resolves the execution mode from the mode query
-// parameter: "cycle" (the default) runs the full timing simulation;
-// "functional" runs functionally only — identical pixels, several
-// times faster, no cycle/energy accounting in the response.
-func requestMode(q url.Values) (ipim.Mode, error) {
-	switch mq := q.Get("mode"); mq {
-	case "", "cycle":
-		return ipim.CycleMode, nil
-	case "functional":
-		return ipim.FunctionalMode, nil
-	default:
-		return ipim.CycleMode, fmt.Errorf("bad mode %q (want functional or cycle)", mq)
-	}
-}
-
-// statusClientClosedRequest is nginx's non-standard 499 "client closed
-// request": the caller went away, so no response will be read; distinct
-// from 504 so dashboards separate server-side timeouts from client
-// aborts.
-const statusClientClosedRequest = 499
-
-// failProcess maps a pool/run error onto the HTTP status contract:
-// 429 queue full, 503 draining or unrecovered transient fault (all
-// with Retry-After), 504 deadline or cycle-budget exhaustion, 499
-// client-cancelled, 500 anything else (including recovered worker
-// panics).
-func (s *Server) failProcess(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, errDraining), errors.Is(err, ipim.ErrTransientFault):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, ipim.ErrCycleBudget), errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-	case errors.Is(err, ipim.ErrCancelled), errors.Is(err, context.Canceled):
-		http.Error(w, err.Error(), statusClientClosedRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func cacheLabel(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-func scheduleLabel(sched *autotune.Candidate) string {
-	if sched != nil {
-		return "tuned"
-	}
-	return "default"
+	return prog, nil
 }

@@ -33,119 +33,50 @@ import (
 	"ipim/internal/pixel"
 )
 
-// errChaosStreamAbort is the injected mid-stream failure of the
-// ChaosStreamAbortAfterFrames knob.
+// errChaosStreamAbort is the injected mid-stream failure SetStreamChaos
+// arms.
 var errChaosStreamAbort = errors.New("serve: chaos: injected stream abort")
 
-// SetStreamChaos re-arms the streaming chaos knob at runtime: the next
-// stream aborts its connection after abortAfter output frames, once.
-// Test hook for the fleet failover gate; never call it in production.
+// SetStreamChaos arms the streaming chaos knob: the next stream aborts
+// its connection after abortAfter output frames, once. Test hook for
+// the fleet failover gate; never call it in production.
 func (s *Server) SetStreamChaos(abortAfter int) {
 	s.chaosStreamAbort.Store(int64(abortAfter))
 	s.chaosStreamClaimed.Store(false)
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.refuseRun(w) {
-		return
-	}
-
-	q := r.URL.Query()
-	wlName := q.Get("workload")
-	if wlName == "" {
-		http.Error(w, "missing required query parameter: workload", http.StatusBadRequest)
-		return
-	}
-	wl, err := ipim.WorkloadByName(wlName)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if wl.Build().Pipe.Histogram {
-		http.Error(w, fmt.Sprintf("workload %s reduces to bins, not an image; histogram pipelines are not streamable", wl.Name), http.StatusBadRequest)
-		return
-	}
-	optName := q.Get("opts")
-	if optName == "" {
-		optName = "opt"
-	}
-	opts, err := ipim.OptionsByName(optName)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	timeout, err := s.requestTimeout(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	budget, err := s.requestBudget(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	mode, err := requestMode(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	budget.Mode = mode
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	body, ok := s.readBody(w, r)
+	req, ok := s.parseRun(w, r)
 	if !ok {
 		return
 	}
-	rawFrames, imgW, imgH, err := pixel.SplitPGMFrames(body, s.cfg.StreamMaxFrames)
+	imgs, err := s.decodeFrames(req.body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	imgs := make([]*ipim.Image, len(rawFrames))
-	for i, f := range rawFrames {
-		if imgs[i], err = ipim.ReadPGM(bytes.NewReader(f)); err != nil {
-			http.Error(w, fmt.Sprintf("stream frame %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-	}
-
 	// Compile once for the whole stream; the artifact is the unit the
 	// router shards on, so every frame of this geometry lands here.
-	key := cacheKey{Workload: wl.Name, W: imgW, H: imgH, Opts: opts}
-	art, sched, hit, err := s.cache.get(key, func() (*ipim.Artifact, error) {
-		cfg := s.cfg.Machine
-		return ipim.Compile(&cfg, wl.Build().Pipe, imgW, imgH, opts)
-	})
-	if err != nil {
-		http.Error(w, "compile: "+err.Error(), http.StatusBadRequest)
+	a, ok := s.fetch(w, &req, imgs[0].W, imgs[0].H)
+	if !ok {
 		return
 	}
-	s.tuner.maybeEnqueue(key, wl)
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
+	defer cancel()
 
 	// Single-shot chaos claim: the first stream to arrive with a knob
 	// armed takes the injection, every other stream runs clean.
 	chaosAbort, chaosStall := 0, 0
-	if a, st := int(s.chaosStreamAbort.Load()), s.cfg.ChaosStreamStallAfterFrames; a > 0 || st > 0 {
+	if abort, stall := int(s.chaosStreamAbort.Load()), s.cfg.ChaosStreamStallAfterFrames; abort > 0 || stall > 0 {
 		if s.chaosStreamClaimed.CompareAndSwap(false, true) {
-			chaosAbort, chaosStall = a, st
+			chaosAbort, chaosStall = abort, stall
 		}
 	}
 
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ipim-frames")
-	h.Set("X-Ipim-Workload", wl.Name)
-	h.Set("X-Ipim-Config", optName)
-	h.Set("X-Ipim-Image", fmt.Sprintf("%dx%d", imgW, imgH))
+	a.setHeaders(h, &req)
 	h.Set("X-Ipim-Stream-Frames", strconv.Itoa(len(imgs)))
-	h.Set("X-Ipim-Cache", cacheLabel(hit))
-	h.Set("X-Ipim-Schedule", scheduleLabel(sched))
-	h.Set("X-Ipim-Mode", mode.String())
 	// ResponseController unwraps the metrics recorder to reach the real
 	// Flusher: each frame must hit the wire when it completes, both for
 	// client latency and so a mid-stream abort leaves the delivered
@@ -156,34 +87,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// (not submit) because the job writes w; the handler must not
 	// return while the worker might still be streaming into it.
 	var (
-		written                          int   // output frames committed to the wire
-		outBytes                         int64 // response payload for the transfer meter
-		cycles                           int64 // accounting summed across frames
-		issued                           int64
-		energyJ                          float64
-		injected, corrected, uncorrected int64
+		t        tally
+		written  int   // output frames committed to the wire
+		outBytes int64 // response payload for the transfer meter
 	)
-	nPEs, nVaults := s.cfg.Machine.TotalPEs(), s.cfg.Machine.TotalVaults()
-	err = s.pool.submitWait(ctx, func(ctx context.Context, m *ipim.Machine) error {
-		if sched != nil {
-			m.SetDRAMPolicy(sched.Page, sched.Sched)
-			defer m.SetDRAMPolicy(s.cfg.Machine.Page, s.cfg.Machine.Sched)
-		}
+	err = s.pool.submitWait(ctx, s.tunedJob(&a, func(ctx context.Context, m *ipim.Machine) error {
 		for i, img := range imgs {
-			out, stats, err := ipim.RunContext(ctx, m, art, img, budget)
+			out, stats, err := ipim.RunContext(ctx, m, a.Artifact, img, req.run)
 			for attempt := 0; err != nil && errors.Is(err, ipim.ErrTransientFault) && attempt < s.cfg.MaxRetries; attempt++ {
 				s.metrics.retries.Inc()
-				out, stats, err = ipim.RunContext(ctx, m, art, img, budget)
+				out, stats, err = ipim.RunContext(ctx, m, a.Artifact, img, req.run)
 			}
 			if err != nil {
 				return fmt.Errorf("stream frame %d: %w", i, err)
 			}
-			cycles += stats.Cycles
-			issued += stats.Issued
-			energyJ += ipim.EnergyOf(&stats, nPEs, nVaults).Total()
-			corrected += stats.DRAM.ECCCorrected
-			uncorrected += stats.DRAM.ECCUncorrected
-			injected += stats.DRAM.ECCCorrected + stats.DRAM.ECCUncorrected + stats.NoC.LinkFaults
+			t.add(&stats, &s.cfg.Machine)
 			var buf bytes.Buffer
 			if err := ipim.WritePGM(&buf, out); err != nil {
 				return fmt.Errorf("stream frame %d: %w", i, err)
@@ -205,7 +123,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		if written > 0 {
 			// The status line is committed; the only honest failure signal
@@ -214,15 +132,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Logger.Printf("stream: aborting after %d/%d frame(s): %v", written, len(imgs), err)
 			panic(http.ErrAbortHandler)
 		}
-		s.failProcess(w, err)
+		failRun(w, err)
 		return
 	}
-	s.degrade.observe(uncorrected)
-	s.metrics.observeRun(cycles, energyJ, injected, corrected, uncorrected)
+	s.record(&t, req.run.Mode)
 	s.metrics.streams.Inc()
 	s.metrics.streamFrames.Add(int64(written))
 	// One meter record for the whole stream: the transfer model batches
 	// the frames across the bus, which is the amortization the endpoint
 	// exists to claim.
-	s.meter.Record(int64(len(body)), outBytes)
+	s.meter.Record(int64(len(req.body)), outBytes)
+}
+
+// decodeFrames decodes a /v1/stream body: back-to-back binary PGM
+// frames of one geometry, at most Config.StreamMaxFrames of them.
+func (s *Server) decodeFrames(body []byte) ([]*ipim.Image, error) {
+	raw, _, _, err := pixel.SplitPGMFrames(body, s.cfg.StreamMaxFrames)
+	if err != nil {
+		return nil, err
+	}
+	imgs := make([]*ipim.Image, len(raw))
+	for i, f := range raw {
+		if imgs[i], err = ipim.ReadPGM(bytes.NewReader(f)); err != nil {
+			return nil, fmt.Errorf("stream frame %d: %v", i, err)
+		}
+	}
+	return imgs, nil
 }

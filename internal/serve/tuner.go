@@ -12,6 +12,13 @@ import (
 	"ipim/internal/autotune"
 )
 
+// The background search strategy, and the bound of the tuning queue: a
+// full queue drops the enqueue, to be retried by a later request.
+const (
+	tuneStrategy = "hill"
+	tuneQueueCap = 16
+)
+
 // tuneJob asks the background tuner to find a better schedule for one
 // artifact-cache key.
 type tuneJob struct {
@@ -52,23 +59,17 @@ type tuner struct {
 
 	stats struct {
 		sync.Mutex
-		queued          int64 // jobs waiting or running now
-		completed       int64 // searches finished (improved + unimproved)
-		improved        int64 // searches whose winner was swapped in
-		failed          int64 // searches that errored
-		dropped         int64 // enqueues rejected by a full queue
-		lastImprovement float64
+		tuneSnapshot
 	}
 }
 
-// tuneSnapshot is the point-in-time tuner state for /metrics and
-// /v1/tune.
+// tuneSnapshot is the tuner's state for /metrics and /v1/tune.
 type tuneSnapshot struct {
-	Queued          int64   `json:"queued"`
-	Completed       int64   `json:"completed"`
-	Improved        int64   `json:"improved"`
-	Failed          int64   `json:"failed"`
-	Dropped         int64   `json:"dropped"`
+	Queued          int64   `json:"queued"`    // jobs waiting or running now
+	Completed       int64   `json:"completed"` // searches finished (improved + unimproved)
+	Improved        int64   `json:"improved"`  // searches whose winner was swapped in
+	Failed          int64   `json:"failed"`    // searches that errored
+	Dropped         int64   `json:"dropped"`   // enqueues rejected by a full queue
 	LastImprovement float64 `json:"last_improvement"`
 }
 
@@ -89,7 +90,7 @@ func newTuner(cfg *Config, cache *artifactCache, pool *pool) (*tuner, error) {
 		pool:   pool,
 		store:  store,
 		engine: &autotune.Engine{Workers: cfg.TuneWorkers, MaxCycles: cfg.MaxCycles},
-		queue:  make(chan tuneJob, cfg.TuneQueueCap),
+		queue:  make(chan tuneJob, tuneQueueCap),
 		seen:   map[cacheKey]bool{},
 		ctx:    ctx,
 		cancel: cancel,
@@ -117,14 +118,14 @@ func (t *tuner) maybeEnqueue(key cacheKey, wl ipim.Workload) {
 	select {
 	case t.queue <- tuneJob{key: key, wl: wl}:
 		t.stats.Lock()
-		t.stats.queued++
+		t.stats.Queued++
 		t.stats.Unlock()
 	default:
 		t.mu.Lock()
 		delete(t.seen, key)
 		t.mu.Unlock()
 		t.stats.Lock()
-		t.stats.dropped++
+		t.stats.Dropped++
 		t.stats.Unlock()
 	}
 }
@@ -144,9 +145,9 @@ func (t *tuner) run() {
 			}
 			err := t.tune(job)
 			t.stats.Lock()
-			t.stats.queued--
+			t.stats.Queued--
 			if err != nil {
-				t.stats.failed++
+				t.stats.Failed++
 				t.cfg.Logger.Printf("tune: workload=%s image=%dx%d failed: %v",
 					job.key.Workload, job.key.W, job.key.H, err)
 			}
@@ -181,7 +182,7 @@ func (t *tuner) tune(job tuneJob) error {
 			job.key.W, job.key.H)
 		p.Opts = job.key.Opts
 		p.Label = job.wl.Name
-		strat, err := autotune.NewStrategy(t.cfg.TuneStrategy, autotune.DefaultSpace(), autotune.DefaultProbeSeed)
+		strat, err := autotune.NewStrategy(tuneStrategy, autotune.DefaultSpace(), autotune.DefaultProbeSeed)
 		if err != nil {
 			return err
 		}
@@ -208,8 +209,8 @@ func (t *tuner) tune(job tuneJob) error {
 
 	improvement := rec.Improvement()
 	t.stats.Lock()
-	t.stats.completed++
-	t.stats.lastImprovement = improvement
+	t.stats.Completed++
+	t.stats.LastImprovement = improvement
 	t.stats.Unlock()
 	if improvement < t.cfg.TuneMargin {
 		t.cfg.Logger.Printf("tune: workload=%s image=%dx%d improvement %.3fx below margin %.3fx, keeping default",
@@ -219,7 +220,7 @@ func (t *tuner) tune(job tuneJob) error {
 
 	// Recompile with the winning schedule and swap it into the cache.
 	// The candidate's DRAM policies are timing-only and applied per-run
-	// (see handleProcess), so the tuned artifact's pixel output is
+	// (see tunedJob), so the tuned artifact's pixel output is
 	// bit-identical to the default's — the search verified as much
 	// against the reference.
 	cand := rec.Best
@@ -230,7 +231,7 @@ func (t *tuner) tune(job tuneJob) error {
 	}
 	t.cache.swap(job.key, art, &cand)
 	t.stats.Lock()
-	t.stats.improved++
+	t.stats.Improved++
 	t.stats.Unlock()
 	t.cfg.Logger.Printf("tune: workload=%s image=%dx%d upgraded to %s (%.3fx)",
 		job.key.Workload, job.key.W, job.key.H, cand, improvement)
@@ -241,14 +242,7 @@ func (t *tuner) tune(job tuneJob) error {
 func (t *tuner) snapshot() tuneSnapshot {
 	t.stats.Lock()
 	defer t.stats.Unlock()
-	return tuneSnapshot{
-		Queued:          t.stats.queued,
-		Completed:       t.stats.completed,
-		Improved:        t.stats.improved,
-		Failed:          t.stats.failed,
-		Dropped:         t.stats.dropped,
-		LastImprovement: t.stats.lastImprovement,
-	}
+	return t.stats.tuneSnapshot
 }
 
 // close cancels any in-flight search, stops the consumer and closes
@@ -274,7 +268,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if s.tuner != nil {
 		resp["status"] = s.tuner.snapshot()
 		resp["margin"] = s.cfg.TuneMargin
-		resp["strategy"] = s.cfg.TuneStrategy
+		resp["strategy"] = tuneStrategy
 		resp["records"] = s.tuner.store.Snapshot()
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -20,6 +20,7 @@ package vault
 
 import (
 	"fmt"
+	"math"
 
 	"ipim/internal/ckpt"
 	"ipim/internal/isa"
@@ -122,8 +123,10 @@ func (v *Vault) DecodeCkpt(d *ckpt.Dec, progs []*isa.Program) error {
 	} else if v.pc != 0 {
 		return fmt.Errorf("vault: checkpoint has pc %d with no program: %w", v.pc, ckpt.ErrCorrupt)
 	}
-	if v.now < 0 {
-		return fmt.Errorf("vault: checkpoint clock %d is negative: %w", v.now, ckpt.ErrCorrupt)
+	// The vault drains its controllers to math.MaxInt64/2, so no run
+	// reaches a clock or TSV time at or past it.
+	if v.now < 0 || v.now >= math.MaxInt64/2 || v.tsvFree >= math.MaxInt64/2 {
+		return fmt.Errorf("vault: checkpoint clock %d (TSV free at %d) outside [0, %d): %w", v.now, v.tsvFree, int64(math.MaxInt64/2), ckpt.ErrCorrupt)
 	}
 	if len(crf) != len(v.CRF) {
 		return fmt.Errorf("vault: checkpoint has %d CRF entries, config has %d: %w", len(crf), len(v.CRF), ckpt.ErrCorrupt)

@@ -120,6 +120,9 @@ go test ./internal/vault -run='^$' -fuzz='^FuzzExecFuncVsEvalLane$' -fuzztime=10
 go test ./internal/cube -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/compiler -run='^$' -fuzz='^FuzzScheduleVsReference$' -fuzztime=10s
 go test ./internal/autotune -run='^$' -fuzz='^FuzzStoreReplay$' -fuzztime=10s
+# Run-request bodies are kilobytes too; the same cap keeps minimization
+# from taking the slot.
+go test ./internal/serve -run='^$' -fuzz='^FuzzRunRequest$' -fuzztime=10s -fuzzminimizetime=100x
 
 # Coverage floor over the internal packages' own statements (cmd/ and
 # examples/ mains are exercised end-to-end by the examples smoke test

@@ -317,10 +317,9 @@ func BenchmarkFullMachineRunSame(b *testing.B) {
 // workloads on the representative vault, reusing one machine across
 // iterations the way the serving pool does. Shift is the stall-heavy
 // case (pure data movement: every instruction is a bank access, so the
-// run is dominated by DRAM-queue and data-hazard waits the event-driven
-// fast-forward skips); Brighten adds compute; GaussianBlur adds halo
-// traffic. BENCH_simcore.json records this benchmark's trajectory
-// across PRs (see docs/BENCHMARKS.md).
+// run is dominated by DRAM-queue and data-hazard waits the vault clock
+// jumps over); Brighten adds compute; GaussianBlur adds halo traffic.
+// docs/BENCHMARKS.md records this benchmark's trajectory.
 func BenchmarkSimCore(b *testing.B) {
 	for _, name := range []string{"Shift", "GaussianBlur", "Brighten"} {
 		b.Run(name, func(b *testing.B) {
@@ -363,7 +362,7 @@ func BenchmarkSimCore(b *testing.B) {
 // FunctionalMode: same three workloads, same machine reuse, but the
 // per-cycle pipeline model is skipped entirely and instructions execute
 // at issue order. The ratio of the two benchmarks' sim-instrs/s is the
-// functional-mode speedup recorded in BENCH_funcmode.json (the pixel
+// functional-mode speedup recorded in docs/BENCHMARKS.md (the pixel
 // outputs are bit-identical by the funcmode_test.go harness, so the
 // comparison is apples-to-apples work).
 func BenchmarkSimCoreFunctional(b *testing.B) {

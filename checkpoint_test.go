@@ -8,10 +8,9 @@ package ipim
 // decision-stream positions and every DRAM/NoC counter) are
 // bit-identical to the run that was never interrupted. The matrix
 // crosses workloads (including the cross-vault Histogram and the DNN
-// GEMM) with fast-forward/stepwise execution, serial/parallel phase
-// workers, and fault injection on/off; a checkpointing run must also be
-// bit-identical to a non-checkpointing one (observation must not
-// perturb).
+// GEMM) with serial/parallel phase workers and fault injection on/off;
+// a checkpointing run must also be bit-identical to a non-checkpointing
+// one (observation must not perturb).
 
 import (
 	"bytes"
@@ -56,16 +55,13 @@ func ckptArtifact(t *testing.T, cfg *Config, name string, seed uint64) (*Artifac
 // ckptMachine builds a machine with the execution knobs that are host
 // state, not architectural state — the restore path deliberately does
 // not serialize them, so tests re-apply them to restored machines.
-func ckptMachine(t *testing.T, cfg Config, workers int, fastForward bool, plan *FaultPlan) *Machine {
+func ckptMachine(t *testing.T, cfg Config, workers int, plan *FaultPlan) *Machine {
 	t.Helper()
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.SetParallelism(workers)
-	if !fastForward {
-		m.SetFastForward(false)
-	}
 	m.SetFaultPlan(plan)
 	return m
 }
@@ -129,16 +125,16 @@ func finalState(t *testing.T, m *Machine) []byte {
 // ckptDifferential runs the full contract for one matrix cell:
 // uninterrupted vs checkpointing-while-running vs restored-and-resumed
 // at the first, middle and last barrier checkpoints.
-func ckptDifferential(t *testing.T, cfg Config, wlName string, workers int, fastForward bool, plan *FaultPlan, mode Mode) {
+func ckptDifferential(t *testing.T, cfg Config, wlName string, workers int, plan *FaultPlan, mode Mode) {
 	t.Helper()
 	art, img, hist := ckptArtifact(t, &cfg, wlName, 11)
 
-	ref := ckptMachine(t, cfg, workers, fastForward, plan)
+	ref := ckptMachine(t, cfg, workers, plan)
 	refStats, refOut := ckptExec(t, ref, art, img, hist, RunOptions{Mode: mode})
 	refFinal := finalState(t, ref)
 
 	var ckpts [][]byte
-	mc := ckptMachine(t, cfg, workers, fastForward, plan)
+	mc := ckptMachine(t, cfg, workers, plan)
 	ckStats, ckOut := ckptExec(t, mc, art, img, hist, RunOptions{
 		Mode:            mode,
 		CheckpointEvery: 1,
@@ -164,9 +160,6 @@ func ckptDifferential(t *testing.T, cfg Config, wlName string, workers int, fast
 			t.Fatalf("restore checkpoint %d/%d: %v", i, len(ckpts), err)
 		}
 		m2.SetParallelism(workers)
-		if !fastForward {
-			m2.SetFastForward(false)
-		}
 		if !m2.HasResume() {
 			t.Fatalf("checkpoint %d carries no interrupted run", i)
 		}
@@ -187,26 +180,24 @@ func ckptDifferential(t *testing.T, cfg Config, wlName string, workers int, fast
 
 // TestCheckpointResumeDifferential is the acceptance matrix: four
 // workloads (incl. the DNN GEMM and the cross-vault Histogram) ×
-// {fast-forward, stepwise} × {serial, 4 workers} × fault rates
-// {off, 1e-6}, every cell bit-identical across an interruption.
+// {serial, 4 workers} × fault rates {off, 1e-6}, every cell
+// bit-identical across an interruption.
 func TestCheckpointResumeDifferential(t *testing.T) {
 	for _, wlName := range []string{"GaussianBlur", "Brighten", "Histogram", "dnn:GEMM"} {
 		cfg := detConfig()
 		if strings.HasPrefix(wlName, "dnn:") {
 			cfg = TinyConfig()
 		}
-		for _, ff := range []bool{true, false} {
-			for _, workers := range []int{1, 4} {
-				for _, rate := range []float64{0, 1e-6} {
-					var plan *FaultPlan
-					if rate > 0 {
-						plan = &FaultPlan{Seed: 9, DRAMBitFlipRate: rate, LinkFaultRate: rate, LinkRetryPenalty: 10}
-					}
-					name := fmt.Sprintf("%s/ff=%v/workers=%d/faults=%g", wlName, ff, workers, rate)
-					t.Run(name, func(t *testing.T) {
-						ckptDifferential(t, cfg, wlName, workers, ff, plan, CycleMode)
-					})
+		for _, workers := range []int{1, 4} {
+			for _, rate := range []float64{0, 1e-6} {
+				var plan *FaultPlan
+				if rate > 0 {
+					plan = &FaultPlan{Seed: 9, DRAMBitFlipRate: rate, LinkFaultRate: rate, LinkRetryPenalty: 10}
 				}
+				name := fmt.Sprintf("%s/workers=%d/faults=%g", wlName, workers, rate)
+				t.Run(name, func(t *testing.T) {
+					ckptDifferential(t, cfg, wlName, workers, plan, CycleMode)
+				})
 			}
 		}
 	}
@@ -220,14 +211,14 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 func TestCheckpointResumeLooserBudget(t *testing.T) {
 	cfg := detConfig()
 	art, img, _ := ckptArtifact(t, &cfg, "Histogram", 11)
-	refBins, refStats, err := RunHistogram(ckptMachine(t, cfg, 1, true, nil), art, img)
+	refBins, refStats, err := RunHistogram(ckptMachine(t, cfg, 1, nil), art, img)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var last []byte
 	taken := 0
-	m := ckptMachine(t, cfg, 1, true, nil)
+	m := ckptMachine(t, cfg, 1, nil)
 	_, _, err = RunHistogramContext(context.Background(), m, art, img, RunOptions{
 		MaxCycles:       refStats.Cycles / 2,
 		CheckpointEvery: 1,
@@ -271,7 +262,7 @@ func TestCheckpointResumeLooserBudget(t *testing.T) {
 // TestCheckpointResumeFunctional pins the functional-mode resume path,
 // where checkpoint pacing rides the issue counter instead of the clock.
 func TestCheckpointResumeFunctional(t *testing.T) {
-	ckptDifferential(t, detConfig(), "GaussianBlur", 4, true, nil, FunctionalMode)
+	ckptDifferential(t, detConfig(), "GaussianBlur", 4, nil, FunctionalMode)
 }
 
 // TestCheckpointResumeAcrossWorkerCounts restores a serial run's
@@ -281,14 +272,14 @@ func TestCheckpointResumeFunctional(t *testing.T) {
 func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	cfg := detConfig()
 	art, img, hist := ckptArtifact(t, &cfg, "Histogram", 11)
-	ref := ckptMachine(t, cfg, 1, true, nil)
+	ref := ckptMachine(t, cfg, 1, nil)
 	refStats, refOut := ckptExec(t, ref, art, img, hist, RunOptions{})
 	refFinal := finalState(t, ref)
 
 	for _, from := range []int{1, 4} {
 		for _, to := range []int{1, 4} {
 			var ckpts [][]byte
-			mc := ckptMachine(t, cfg, from, true, nil)
+			mc := ckptMachine(t, cfg, from, nil)
 			ckptExec(t, mc, art, img, hist, RunOptions{
 				CheckpointEvery: 1,
 				CheckpointSink: func(data []byte) error {
@@ -327,7 +318,7 @@ func TestCheckpointResumeUnderActiveFaults(t *testing.T) {
 	plan := &FaultPlan{Seed: 4, DRAMBitFlipRate: 5e-3, DRAMMultiBitFraction: 0.5, LinkFaultRate: 1e-3, LinkRetryPenalty: 20}
 	cfg := detConfig()
 	art, img, hist := ckptArtifact(t, &cfg, "Histogram", 11)
-	ref := ckptMachine(t, cfg, 4, true, plan)
+	ref := ckptMachine(t, cfg, 4, plan)
 	refStats, refOut := ckptExec(t, ref, art, img, hist, RunOptions{})
 	if refStats.DRAM.ECCCorrected == 0 {
 		t.Fatal("no ECC corrections fired — the fault differential is vacuous")
@@ -338,7 +329,7 @@ func TestCheckpointResumeUnderActiveFaults(t *testing.T) {
 	refFinal := finalState(t, ref)
 
 	var ckpts [][]byte
-	mc := ckptMachine(t, cfg, 4, true, plan)
+	mc := ckptMachine(t, cfg, 4, plan)
 	ckptExec(t, mc, art, img, hist, RunOptions{
 		CheckpointEvery: 1,
 		CheckpointSink: func(data []byte) error {
@@ -371,7 +362,7 @@ func TestCheckpointResumeUnderActiveFaults(t *testing.T) {
 func TestCheckpointBetweenRuns(t *testing.T) {
 	cfg := detConfig()
 	art, img, _ := ckptArtifact(t, &cfg, "Brighten", 5)
-	m := ckptMachine(t, cfg, 1, true, nil)
+	m := ckptMachine(t, cfg, 1, nil)
 	if _, _, err := Run(m, art, img); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +387,7 @@ func TestCheckpointBetweenRuns(t *testing.T) {
 // machine must fail with ErrCheckpointConfig, not corrupt state.
 func TestCheckpointConfigMismatch(t *testing.T) {
 	cfg := detConfig()
-	m := ckptMachine(t, cfg, 1, true, nil)
+	m := ckptMachine(t, cfg, 1, nil)
 	data := finalState(t, m)
 	other := detConfig()
 	other.PGsPerVault = 1
@@ -415,7 +406,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 func TestCheckpointRejectsVersion1(t *testing.T) {
 	cfg := detConfig()
 	for _, version := range []uint32{1, 2, 3} {
-		data := finalState(t, ckptMachine(t, cfg, 1, true, nil))
+		data := finalState(t, ckptMachine(t, cfg, 1, nil))
 		binary.LittleEndian.PutUint32(data[len("IPIMCKPT"):], version)
 		if _, err := RestoreMachine(bytes.NewReader(data), cfg); !errors.Is(err, ErrCheckpointVersion) {
 			t.Errorf("restore of a version-%d checkpoint: got %v, want ErrCheckpointVersion", version, err)

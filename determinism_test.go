@@ -32,6 +32,14 @@ func detConfig() Config {
 // every workload compares the same way).
 func detRun(t *testing.T, wlName string, seed uint64, parallelism int) (Stats, []float32) {
 	t.Helper()
+	stats, out, _ := detRunSkipped(t, wlName, seed, parallelism)
+	return stats, out
+}
+
+// detRunSkipped is detRun that also returns the idle cycles the run's
+// vault clocks jumped over (Machine.FastForwardedCycles).
+func detRunSkipped(t *testing.T, wlName string, seed uint64, parallelism int) (Stats, []float32, int64) {
+	t.Helper()
 	cfg := detConfig()
 	wl, err := WorkloadByName(wlName)
 	if err != nil {
@@ -56,24 +64,25 @@ func detRun(t *testing.T, wlName string, seed uint64, parallelism int) (Stats, [
 		for i, b := range bins {
 			out[i] = float32(b)
 		}
-		return stats, out
+		return stats, out, m.FastForwardedCycles()
 	}
 	out, stats, err := Run(m, art, img)
 	if err != nil {
 		t.Fatalf("run %s: %v", wlName, err)
 	}
-	return stats, out.Pix
+	return stats, out.Pix, m.FastForwardedCycles()
 }
 
 // TestParallelRunMatchesSerial is the core determinism contract: for
 // each workload, a forced-serial run and a parallel run (worker pool
 // wider than GOMAXPROCS, so goroutines really interleave) must agree
-// bit for bit on stats and output.
+// bit for bit on stats and output, and on the skipped-cycle tally,
+// which every one of these stall-heavy runs must move.
 func TestParallelRunMatchesSerial(t *testing.T) {
 	for _, wlName := range []string{"Brighten", "GaussianBlur", "Shift", "Histogram"} {
 		t.Run(wlName, func(t *testing.T) {
-			serialStats, serialOut := detRun(t, wlName, 11, 1)
-			parStats, parOut := detRun(t, wlName, 11, 4)
+			serialStats, serialOut, serialFF := detRunSkipped(t, wlName, 11, 1)
+			parStats, parOut, parFF := detRunSkipped(t, wlName, 11, 4)
 			if !reflect.DeepEqual(serialStats, parStats) {
 				t.Errorf("stats diverge between serial and parallel:\nserial:   %+v\nparallel: %+v",
 					serialStats, parStats)
@@ -83,6 +92,12 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 			}
 			if serialStats.Cycles <= 0 || serialStats.Issued <= 0 {
 				t.Errorf("degenerate run: %+v", serialStats)
+			}
+			if serialFF != parFF {
+				t.Errorf("skipped-cycle tally diverges: serial %d, parallel %d", serialFF, parFF)
+			}
+			if serialFF == 0 {
+				t.Error("run jumped no idle cycles — its waits were not skipped")
 			}
 		})
 	}

@@ -181,7 +181,7 @@ func TestFunctionalSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestMemoizedMatchesStepwiseRandomMatrix randomizes the machine shape,
+// TestMemoizedMatchesUnmemoizedRandomMatrix randomizes the machine shape,
 // page/scheduling policies, workload, and fault rate, and runs each
 // draw three times back-to-back on one machine — the pooled-reuse
 // pattern under which runs recur — at worker counts 1 and 4, each run
@@ -191,7 +191,7 @@ func TestFunctionalSerialParallelIdentical(t *testing.T) {
 // the matrix the cache must score real hits (otherwise the
 // differential is vacuous). The rand stream is fixed-seed: every run
 // tests the same matrix.
-func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
+func TestMemoizedMatchesUnmemoizedRandomMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	workloads := []string{"Brighten", "GaussianBlur", "Shift", "Histogram", "Downsample", "Upsample"}
 	rates := []float64{0, 1e-6}
@@ -250,14 +250,14 @@ func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 			for run := 0; run < 3; run++ {
 				img := Synth(w, h, seed+uint64(run))
 				mStats, mOut := modeRun(t, memoOn, art, img, histogram, CycleMode)
-				sStats, sOut := modeRun(t, memoOff, art, img, histogram, CycleMode)
-				if !reflect.DeepEqual(mStats, sStats) {
-					t.Errorf("draw %d run %d (%s, %d cubes × %d vaults, %d PGs × %d PEs, page=%v sched=%v, workers=%d, rate=%g): stats diverge:\nmemoized: %+v\nstepwise: %+v",
+				uStats, uOut := modeRun(t, memoOff, art, img, histogram, CycleMode)
+				if !reflect.DeepEqual(mStats, uStats) {
+					t.Errorf("draw %d run %d (%s, %d cubes × %d vaults, %d PGs × %d PEs, page=%v sched=%v, workers=%d, rate=%g): stats diverge:\nmemoized:   %+v\nunmemoized: %+v",
 						i, run, wlName, cfg.Cubes, cfg.VaultsPerCube, cfg.PGsPerVault, cfg.PEsPerPG,
-						cfg.Page, cfg.Sched, workers, rate, mStats, sStats)
+						cfg.Page, cfg.Sched, workers, rate, mStats, uStats)
 				}
-				if !reflect.DeepEqual(mOut, sOut) {
-					t.Errorf("draw %d run %d (%s): output diverges between memoized and stepwise", i, run, wlName)
+				if !reflect.DeepEqual(mOut, uOut) {
+					t.Errorf("draw %d run %d (%s): output diverges between memoized and unmemoized", i, run, wlName)
 				}
 			}
 			hits, _ := memoOn.TimingMemoStats()
@@ -272,7 +272,7 @@ func TestMemoizedMatchesStepwiseRandomMatrix(t *testing.T) {
 		t.Errorf("only %d of 10 matrix draws compiled — widen the shapes or reseed", exercised)
 	}
 	if totalHits == 0 {
-		t.Error("no draw scored a memo hit — the memoized/stepwise differential is vacuous")
+		t.Error("no draw scored a memo hit — the memoized/unmemoized differential is vacuous")
 	}
 }
 

@@ -33,8 +33,8 @@ package cube
 // The correctness contract is differential and pinned by tests at the
 // repository root: run-to-barrier-N → checkpoint → restore onto a fresh
 // machine → ResumeContext must match the uninterrupted run bit for bit
-// in pixels, sim.Stats and fault counters, at any worker count, in
-// fast-forward and stepwise modes, with or without the timing memo.
+// in pixels, sim.Stats and fault counters, at any worker count, with
+// or without the timing memo.
 // The memo never meets a checkpoint: a run with a checkpoint sink
 // bypasses it (a checkpoint holds cycle-mode timing state that a
 // functional replay never builds), ResumeContext never consults it,

@@ -68,11 +68,6 @@ type Machine struct {
 	parallelism int
 	forceSerial bool
 
-	// stepwise disables idle-cycle fast-forward on every vault (see
-	// Vault.SetFastForward). Set via SetFastForward; forced on when
-	// IPIM_NO_FF=1 is set in the environment.
-	stepwise bool
-
 	// memo is the run-level timing memo (memo.go); memoOff disables it.
 	// Set via SetTimingMemo; forced off when IPIM_NO_MEMO=1 is set in
 	// the environment.
@@ -100,7 +95,6 @@ func New(cfg sim.Config) (*Machine, error) {
 	m := &Machine{
 		Cfg:         cfg,
 		forceSerial: os.Getenv("IPIM_SERIAL") == "1",
-		stepwise:    os.Getenv("IPIM_NO_FF") == "1",
 	}
 	t := cfg.Timing
 	m.remoteServiceLat = int64(t.TRCD + t.TCL + 1 + 8)
@@ -117,10 +111,10 @@ func New(cfg sim.Config) (*Machine, error) {
 	return m, nil
 }
 
-// newFabric builds a set of vaults, bound to m and in its fast-forward
-// mode, and their per-source port shards on m's meshes, all as fresh
-// as New leaves them. New installs one; Restore decodes a checkpoint
-// into another and swaps it in.
+// newFabric builds a set of vaults, bound to m, and their per-source
+// port shards on m's meshes, all as fresh as New leaves them. New
+// installs one; Restore decodes a checkpoint into another and swaps it
+// in.
 func (m *Machine) newFabric() ([][]*vault.Vault, [][]*port) {
 	var vaults [][]*vault.Vault
 	var ports [][]*port
@@ -128,9 +122,7 @@ func (m *Machine) newFabric() ([][]*vault.Vault, [][]*port) {
 		var vs []*vault.Vault
 		var ps []*port
 		for vid := 0; vid < m.Cfg.VaultsPerCube; vid++ {
-			v := vault.New(&m.Cfg, c, vid, m)
-			v.SetFastForward(!m.stepwise)
-			vs = append(vs, v)
+			vs = append(vs, vault.New(&m.Cfg, c, vid, m))
 			p := &port{serdes: m.serdes.NewLinkState()}
 			for _, mesh := range m.meshes {
 				p.mesh = append(p.mesh, mesh.NewLinkState())
@@ -147,9 +139,9 @@ func (m *Machine) newFabric() ([][]*vault.Vault, [][]*port) {
 // memo (see memo.go); disabling also flushes every record. Memoized and
 // unmemoized cycle runs produce bit-identical sim.Stats and outputs
 // (the differential tests at the repository root pin this); the switch
-// exists as the reference semantics those tests compare against,
-// mirroring SetFastForward. IPIM_NO_MEMO=1 in the environment forces it
-// off at construction. Not safe to call during an active Run.
+// exists as the reference semantics those tests compare against.
+// IPIM_NO_MEMO=1 in the environment forces it off at construction. Not
+// safe to call during an active Run.
 func (m *Machine) SetTimingMemo(on bool) {
 	m.memoOff = !on
 	if !on {
@@ -168,30 +160,13 @@ func (m *Machine) TimingMemoStats() (hits, misses int64) {
 	return m.memo.hits, m.memo.misses
 }
 
-// SetFastForward enables (the default) or disables idle-cycle
-// fast-forward on every vault. Disabled, stall waits advance each
-// vault's clock one cycle at a time — the reference semantics the
-// event-driven jumps are differentially tested against. Both modes
-// produce bit-identical sim.Stats and outputs; only host time differs.
-// IPIM_NO_FF=1 in the environment forces it off at construction (the
-// debugging escape hatch, mirroring IPIM_SERIAL). Not safe to call
-// during an active Run.
-func (m *Machine) SetFastForward(on bool) {
-	m.stepwise = !on
-	for _, cube := range m.Vaults {
-		for _, v := range cube {
-			v.SetFastForward(on)
-		}
-	}
-}
-
 // SetDRAMPolicy switches every per-PG memory controller to the given
 // row-buffer and scheduling policies. Policies steer request timing
 // only, never data (internal/dram is timing-only), so outputs are
 // bit-identical across settings; the schedule auto-tuner and the
 // serving daemon use this to evaluate and serve tuned DRAM policies on
 // a pooled machine without rebuilding it. Not safe to call during an
-// active Run — change policies only between runs, like SetFastForward.
+// active Run — change policies only between runs.
 func (m *Machine) SetDRAMPolicy(page dram.PagePolicy, sched dram.SchedPolicy) {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
@@ -205,12 +180,11 @@ func (m *Machine) SetDRAMPolicy(page dram.PagePolicy, sched dram.SchedPolicy) {
 }
 
 // FastForwardedCycles totals, over every vault, the idle cycles crossed
-// in event jumps without simulating them individually (simulated
-// cycles, cumulative over the machine's lifetime; zero with
-// fast-forward disabled). A run answered by the timing memo counts the
-// cycles its recorded run skipped, so the total reads the same with
-// the memo on or off. Diagnostic only — deliberately not part of
-// sim.Stats, which is bit-identical in both modes.
+// in jumps without simulating them individually (simulated cycles,
+// cumulative over the machine's lifetime). A run answered by the timing
+// memo counts the cycles its recorded run skipped, so the total reads
+// the same with the memo on or off. Diagnostic only — not part of
+// sim.Stats, whose stall charge already covers these cycles.
 func (m *Machine) FastForwardedCycles() int64 {
 	ff := m.memo.ff
 	for _, cube := range m.Vaults {
@@ -679,12 +653,12 @@ func (m *Machine) collectStats(active []*vault.Vault) sim.Stats {
 // the state of one fresh out of New (vault.Abort on every vault, and
 // every interconnect shard's timeline and counters zeroed), flushing
 // the timing memo. Attached fault plans and their per-site decision
-// streams, SRAM/DRAM data contents, configuration (parallelism,
-// fast-forward, the timing-memo switch, DRAM policies) and the memo and
-// fast-forward tallies survive. Every run already starts fresh, so a
-// completed run needs no Reset; RunContext calls it when a run is
-// cancelled or exhausts its budget, and worker pools call it when
-// recovering a machine from a panic.
+// streams, SRAM/DRAM data contents, configuration (parallelism, the
+// timing-memo switch, DRAM policies) and the memo and skipped-cycle
+// tallies survive. Every run already starts fresh, so a completed run
+// needs no Reset; RunContext calls it when a run is cancelled or
+// exhausts its budget, and worker pools call it when recovering a
+// machine from a panic.
 func (m *Machine) Reset() {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {

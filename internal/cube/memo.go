@@ -18,14 +18,13 @@ package cube
 // recorded Stats. Exact key comparison (pointer identity of finalized
 // programs, which records keep alive) leaves no collision risk.
 //
-// A run may consult the memo only when the reference semantics are in
-// force and nothing outside the key can steer its timing: memo and
-// fast-forward on, no fault plan, no tracer on an active vault, and
-// cycle mode with no budget and no checkpoint sink (a checkpoint holds
-// cycle-mode timing state that a functional replay never builds). A
-// run that fails these conditions bypasses the memo and leaves it
-// intact. The memo flushes on Reset (so on every cancel and budget
-// abort), SetDRAMPolicy, SetFaultPlan, Restore and
+// A run may consult the memo only when nothing outside the key can
+// steer its timing: memo on, no fault plan, no tracer on an active
+// vault, and cycle mode with no budget and no checkpoint sink (a
+// checkpoint holds cycle-mode timing state that a functional replay
+// never builds). A run that fails these conditions bypasses the memo
+// and leaves it intact. The memo flushes on Reset (so on every cancel
+// and budget abort), SetDRAMPolicy, SetFaultPlan, Restore and
 // SetTimingMemo(false).
 
 import (
@@ -46,7 +45,7 @@ type runRecord struct {
 	keys  [][2]int       // active vaults, ascending (cube, vault)
 	progs []*isa.Program // each active vault's program, in keys order
 	stats sim.Stats      // what the run returned
-	ff    int64          // cycles fast-forward skipped during the run
+	ff    int64          // idle cycles the run's vaults jumped over
 }
 
 // runMemo is the machine's recorded runs and its lifetime tallies.
@@ -73,7 +72,7 @@ func (mm *runMemo) lookup(keys [][2]int, progs []*isa.Program) *runRecord {
 // memoEligible reports whether a run with these active vaults and
 // options may consult the memo.
 func (m *Machine) memoEligible(active []*vault.Vault, opts sim.RunOptions) bool {
-	if m.memoOff || m.stepwise || m.fplan != nil ||
+	if m.memoOff || m.fplan != nil ||
 		opts.Mode != sim.CycleMode || opts.Enabled() || opts.CheckpointSink != nil {
 		return false
 	}

@@ -144,8 +144,6 @@ func TestRunMemoBypasses(t *testing.T) {
 		unset   func(m *Machine)
 		flushes bool
 	}{
-		{name: "fast-forward-off",
-			set: func(m *Machine) { m.SetFastForward(false) }, unset: func(m *Machine) { m.SetFastForward(true) }},
 		{name: "tracer",
 			set: func(m *Machine) { m.Vault(0, 1).SetTracer(&vault.Tracer{}) }, unset: func(m *Machine) { m.Vault(0, 1).SetTracer(nil) }},
 		{name: "fault-plan", flushes: true,

@@ -279,13 +279,18 @@ func (c *Controller) Enqueue(now int64, r *Request) bool {
 	return true
 }
 
-// NextEvent returns the earliest future time (in DRAM cycles, strictly
-// after now) at which the controller can make progress, or NoEvent when
-// the queue is empty. This is the fast-forward lower bound the vault's
-// event loop jumps to: it accounts for PRE/ACT sequences, tFAW windows
-// and the lazily applied refresh blackouts (a pending refresh is
-// materialized by earliestIssue the moment a request would cross it, so
-// an idle controller never needs waking just to refresh).
+// NextEvent returns a future time (in DRAM cycles, strictly after now)
+// at which the controller can make progress, or NoEvent when the queue
+// is empty. The vault's queue back-pressure wait jumps to it. It
+// accounts for PRE/ACT sequences, tFAW windows and the lazily applied
+// refresh blackouts (a pending refresh is materialized by earliestIssue
+// the moment a request would cross it, so an idle controller never
+// needs waking just to refresh).
+//
+// It is not always the earliest such time: it times each request's
+// command sequence from now, while pick times it from the request's
+// arrival, so on a full FR-FCFS queue it can come back after the next
+// issue. The wait then lasts longer than the queue is full.
 func (c *Controller) NextEvent(now int64) int64 {
 	if len(c.queue) == 0 {
 		return NoEvent

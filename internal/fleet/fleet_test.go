@@ -417,7 +417,7 @@ func TestRouterReadyzAndWorkersEndpoint(t *testing.T) {
 		t.Fatalf("/fleet/workers missing the registered worker: %s", listing)
 	}
 	// Bad registrations are rejected.
-	for _, q := range []string{"addr=not-a-url", "addr=http://x:1&state=wat", ""} {
+	for _, q := range []string{"addr=not-a-url", "addr=ftp://x:1", "addr=http://x:1&state=wat", ""} {
 		resp, err := http.Post(ts.URL+"/fleet/register?"+q, "", nil)
 		if err != nil {
 			t.Fatal(err)

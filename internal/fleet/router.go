@@ -29,6 +29,7 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"ipim/internal/obs"
 	"ipim/internal/pixel"
@@ -226,7 +227,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRegister accepts one worker heartbeat:
-// POST /fleet/register?addr=http://host:port&state=ready.
+// POST /fleet/register?addr=http://host:port&state=ready. The address
+// must be an absolute http(s) URL in valid UTF-8, so the router can
+// forward to it and /fleet/workers lists it as registered.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -236,7 +239,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	addr := q.Get("addr")
 	u, err := url.Parse(addr)
-	if addr == "" || err != nil || u.Scheme == "" || u.Host == "" {
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || !utf8.ValidString(addr) {
 		http.Error(w, "addr must be the worker's absolute base URL", http.StatusBadRequest)
 		return
 	}

@@ -1,10 +1,12 @@
 package serve
 
 // Crash-recovery journal: one sealed machine checkpoint per in-flight
-// job, keyed by a content hash of the request (so an identical request
-// re-submitted after a crash — worker panic, watchdog kill, process
-// death — finds the interrupted run's last barrier state and resumes it
-// instead of starting over). Writes go through a temp file in the same
+// job, keyed by a content hash of the request and of the artifact's
+// schedule (so an identical request re-submitted after a crash — worker
+// panic, watchdog kill, process death — finds the interrupted run's
+// last barrier state and resumes it instead of starting over, and one
+// re-submitted under a swapped artifact runs fresh and drops the entry
+// it can no longer resume). Writes go through a temp file in the same
 // directory plus an atomic rename, mirroring the autotune results
 // store: a crash mid-write leaves either the previous checkpoint or the
 // new one, never a torn file — and a torn file from a crash mid-rename
@@ -111,6 +113,19 @@ func (j *ckptJournal) ids() []string {
 	return ids
 }
 
+// stale lists the entries the same request left under another
+// schedule than id's: ids that share id's request half (see jobID).
+func (j *ckptJournal) stale(id string) []string {
+	req, _, _ := strings.Cut(id, "-")
+	var out []string
+	for _, other := range j.ids() {
+		if r, _, ok := strings.Cut(other, "-"); ok && r == req && other != id {
+			out = append(out, other)
+		}
+	}
+	return out
+}
+
 // pending counts journal entries awaiting a resuming request — the
 // ipim_checkpoint_journal_pending gauge.
 func (j *ckptJournal) pending() int { return len(j.ids()) }
@@ -165,20 +180,23 @@ func (rs *recoveryState) backlog() int {
 	return len(rs.ids)
 }
 
-// jobID derives the journal key for one plane run of one request: a
-// content hash over everything that determines the run, the artifact's
-// tuned schedule (nil: the default) included, so a crashed job is
-// matched exactly by its re-submission under the same artifact and can
-// never collide with a different workload, image, budget or schedule.
+// jobID derives the journal key for one plane run of one request,
+// "<request>-<schedule>": a content hash over everything the request
+// determines, then a hash of the artifact's tuned schedule (nil: the
+// default). A crashed job is matched exactly by its re-submission under
+// the same artifact and can never collide with a different workload,
+// image, budget or schedule; a re-submission under another schedule
+// finds the old entry by its request half (ckptJournal.stale).
 func jobID(workload, opts, mode string, maxCycles int64, sched *autotune.Candidate, plane int, body []byte) string {
 	schedule := "default"
 	if sched != nil {
 		schedule = sched.String()
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%s|%d|", workload, opts, mode, maxCycles, schedule, plane)
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d|", workload, opts, mode, maxCycles, plane)
 	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sh := sha256.Sum256([]byte(schedule))
+	return hex.EncodeToString(h.Sum(nil)[:16]) + "-" + hex.EncodeToString(sh[:8])
 }
 
 // jitter is the retry backoff source: full jitter (uniform in

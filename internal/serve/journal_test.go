@@ -15,7 +15,8 @@ import (
 // checkpoint, the tuner then swaps the key's artifact for a tile-8×4
 // schedule, and the re-submitted job must run fresh under the new
 // artifact and answer what a clean server answers, instead of restoring
-// the old program and reading its output through the new plan.
+// the old program and reading its output through the new plan. The
+// entry the crash left can never resume, so the fresh run removes it.
 func TestJournalEntryBelongsToItsSchedule(t *testing.T) {
 	job := chaosJob{wl: "GaussianBlur", seed: 4}
 	body := chaosBody(t, job.seed)
@@ -62,5 +63,8 @@ func TestJournalEntryBelongsToItsSchedule(t *testing.T) {
 	}
 	if !bytes.Equal(out, want) {
 		t.Error("re-submitted job under a new schedule differs from a clean run")
+	}
+	if n := s.journal.pending(); n != 0 {
+		t.Errorf("journal holds %d entries after the re-submitted job, want 0", n)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ipim"
+	"ipim/internal/autotune"
 )
 
 // chaosJob is one soak request: a workload over a distinct synthetic
@@ -209,14 +210,16 @@ func TestReadyzDuringRecoveryBacklog(t *testing.T) {
 	job := chaosJob{wl: "Brighten", seed: 11}
 	body := chaosBody(t, job.seed)
 	id := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, nil, 0, body)
+	stale := jobID("Brighten", "opt", ipim.CycleMode.String(), 0, &autotune.Candidate{TileW: 8, TileH: 4}, 0, body)
 
 	// Seed the journal the way a crashed process leaves it: the entry a
-	// client will re-submit, plus an orphan nobody ever will.
+	// client will re-submit, the same request's entry under a schedule
+	// the server no longer serves, plus an orphan nobody ever will.
 	j, err := newCkptJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []string{id, "deadbeefdeadbeef"} {
+	for _, e := range []string{id, stale, "deadbeefdeadbeef"} {
 		if err := j.write(e, []byte("boot-time entry")); err != nil {
 			t.Fatal(err)
 		}
@@ -242,15 +245,16 @@ func TestReadyzDuringRecoveryBacklog(t *testing.T) {
 	if got := readyz(); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with boot backlog = %d, want 503", got)
 	}
-	if got := scrapeMetric(t, ts.URL, "ipim_recovery_backlog"); got != 2 {
-		t.Fatalf("ipim_recovery_backlog = %d, want 2", got)
+	if got := scrapeMetric(t, ts.URL, "ipim_recovery_backlog"); got != 3 {
+		t.Fatalf("ipim_recovery_backlog = %d, want 3", got)
 	}
 
-	// Replaying the job clears its backlog slot (here the planted entry
-	// is garbage, so the run discards it and starts fresh — removal is
-	// removal either way). A fresh journaled request with a DIFFERENT id
-	// writes and removes its own entry mid-flight; that must not touch
-	// the backlog.
+	// Replaying the job clears its backlog slot (here the planted entry is
+	// garbage, so the run discards it and starts fresh — removal is
+	// removal either way) and the slot of its entry under the other
+	// schedule, which the fresh run removes. A fresh journaled request
+	// with a DIFFERENT id writes and removes its own entry mid-flight;
+	// that must not touch the backlog.
 	if status, _, out := postJob(t, ts.URL, job, body); status != http.StatusOK {
 		t.Fatalf("replayed job: status %d: %s", status, out)
 	}

@@ -607,7 +607,8 @@ func (s *Server) runOn(ctx context.Context, m *ipim.Machine, req *runRequest, a 
 // fresh run streams a checkpoint into the journal at every covered
 // barrier. The journal entry is removed only when the run completes;
 // every failure (panic, cancellation, budget abort, process death)
-// leaves the last checkpoint for the next attempt.
+// leaves the last checkpoint for the next attempt. A fresh run also
+// removes the entries the same request left under another schedule.
 func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, req *runRequest, a *artifact, img *ipim.Image, plane int, res *runResult) (*ipim.Image, []int32, ipim.Stats, error) {
 	hist := a.Plan.Pipe.Histogram
 	if s.journal == nil {
@@ -632,6 +633,13 @@ func (s *Server) planeRun(ctx context.Context, m *ipim.Machine, req *runRequest,
 		default:
 			// An idle checkpoint carries no interrupted run to continue.
 			s.journalRemove(id)
+		}
+	}
+	if !resumed {
+		// What this request left under another schedule can never
+		// resume: its artifact has been swapped out.
+		for _, old := range s.journal.stale(id) {
+			s.journalRemove(old)
 		}
 	}
 	opts := req.run

@@ -56,12 +56,10 @@ type Stats struct {
 	Issued int64 // dynamic instructions issued
 
 	InstByCategory [isa.NumCategories]int64 // issues per isa.Category
-	// StallCycles breaks non-issuing cycles down by StallReason. The
-	// breakdown is identical whether idle-cycle fast-forward is enabled
-	// or not: skipped spans are charged to their reason exactly as if
-	// they had been stepped (fast-forward tallies live outside Stats,
-	// on Machine.FastForwardedCycles, precisely to keep this struct
-	// bit-identical across the two modes).
+	// StallCycles breaks non-issuing cycles down by StallReason. A
+	// wait the clock jumps over is charged to its reason in full; how
+	// many of those cycles were jumped is a host-side tally kept
+	// outside Stats, on Machine.FastForwardedCycles.
 	StallCycles [NumStallReasons]int64
 
 	// Component activity (event counts; each event occupies the unit for

@@ -7,7 +7,7 @@ import (
 
 // statLeaves enumerates every int64 leaf of a Stats by dotted path
 // (array elements share their field's path), independently of the
-// walkValue implementation Add/Sub use, so these tests catch both a
+// walkValue implementation Add uses, so these tests catch both a
 // counter missing from the fold and a fold helper gone wrong.
 func statLeaves(s *Stats) map[string][]*int64 {
 	leaves := map[string][]*int64{}

@@ -1,6 +1,6 @@
 package sim
 
-// Checkpoint codec for Stats. Like Add/Sub, it discovers the int64
+// Checkpoint codec for Stats. Like Add, it discovers the int64
 // leaves by reflection so a counter added to Stats (or the embedded
 // dram/noc structs) can never be silently dropped from checkpoints —
 // the encode and decode walks visit the same leaves in the same

@@ -28,7 +28,7 @@ func TestStatsCkptRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, s) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, s)
 	}
-	// Unlike the Add/Sub fold, the codec is a verbatim image: the
+	// Unlike the Add fold, the codec is a verbatim image: the
 	// specially folded fields must survive too.
 	if got.Cycles != s.Cycles || got.NoC.MaxLatency != s.NoC.MaxLatency {
 		t.Errorf("specially folded fields dropped: Cycles %d/%d, MaxLatency %d/%d",

@@ -19,11 +19,10 @@ type TraceEntry struct {
 	// Reason classifies the stall (meaningful when Stall > 0).
 	Reason sim.StallReason
 	// FastForwarded counts how many of the Stall cycles the clock
-	// crossed in event jumps rather than simulating one by one. It is a
-	// subset of Stall, never an extra charge: Stall is identical whether
-	// fast-forward is enabled or not, and FastForwarded is zero in
-	// stepwise mode. Reporting it separately keeps skipped idle spans
-	// from being silently folded into the dominant stall reason.
+	// crossed in jumps rather than simulating one by one. It is a
+	// subset of Stall, never an extra charge. Reporting it separately
+	// keeps skipped idle spans from being silently folded into the
+	// dominant stall reason.
 	FastForwarded int64
 }
 

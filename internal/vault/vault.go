@@ -67,7 +67,7 @@ type entry struct {
 // precomputes them at Load time so the issue loop's hazard checks never
 // allocate: isa.Instruction.Defs/Uses build fresh slices per call, which
 // at one call per issued instruction dominated the simulator's garbage
-// production before the fast-forward work.
+// production.
 type instrDeps struct {
 	defs, uses []isa.RegRef
 }
@@ -122,19 +122,10 @@ type Vault struct {
 	entryPool []*entry
 	reqPool   []*dram.Request
 
-	// stepwise disables idle-cycle fast-forward: every stall advance
-	// walks the clock one cycle at a time instead of jumping to the
-	// event bound. Stats are bit-identical either way (the differential
-	// property test at the repo root pins this); the mode exists as the
-	// reference semantics fast-forward is checked against. Set via
-	// SetFastForward (the machine wires it; IPIM_NO_FF=1 forces it).
-	stepwise bool
-
 	// ffSkipped counts idle cycles the vault's clock crossed in a
-	// single event jump without simulating them individually (the
-	// interior of every multi-cycle stall advance). Diagnostic only —
-	// deliberately NOT part of sim.Stats, which must stay bit-identical
-	// between fast-forward and stepwise runs.
+	// single jump without simulating them individually (the interior
+	// of every multi-cycle stall advance). Diagnostic only, and not
+	// part of sim.Stats: the stall charge already covers these cycles.
 	ffSkipped int64
 	// ffIssue accumulates ffSkipped within the current instruction's
 	// issue, for the tracer's fast-forward attribution.
@@ -202,36 +193,21 @@ func New(cfg *sim.Config, cubeID, vaultID int, remote Remote) *Vault {
 	return v
 }
 
-// SetFastForward enables (the default) or disables idle-cycle
-// fast-forward for this vault. Disabled, every stall advance steps the
-// clock one cycle at a time — the reference semantics the event-driven
-// jumps are differentially tested against. The produced sim.Stats are
-// bit-identical in both modes; only host time differs. Not safe to call
-// during an active run.
-func (v *Vault) SetFastForward(on bool) { v.stepwise = !on }
-
 // FastForwardedCycles reports how many idle cycles this vault's clock
-// has crossed in event jumps without simulating them individually,
-// cumulatively over the vault's lifetime. Zero in stepwise mode. This
-// is a host-side diagnostic (units: simulated cycles); it is not part
-// of sim.Stats and does not fold across vaults.
+// has crossed in jumps without simulating them individually,
+// cumulatively over the vault's lifetime. This is a host-side
+// diagnostic (units: simulated cycles); it is not part of sim.Stats
+// and does not fold across vaults.
 func (v *Vault) FastForwardedCycles() int64 { return v.ffSkipped }
 
 // advanceTo moves the vault clock forward to t, charging the wait to
-// the given stall reason. This is the single choke point every stall
-// advance goes through: in fast-forward mode the clock jumps straight
-// to t (counting the interior cycles as skipped); in stepwise mode it
-// walks cycle by cycle. Both charge exactly (t - now) cycles to reason,
-// so the two modes produce identical statistics. No-op when t <= now.
+// the given stall reason. Every stall advance goes through it, and
+// every caller computes t before the call (docs/ARCHITECTURE.md, "Idle
+// cycles: the wait contract"): the clock jumps straight to t, charges
+// (t - now) cycles to reason and counts the interior cycles as
+// skipped. No-op when t <= now.
 func (v *Vault) advanceTo(t int64, reason sim.StallReason) {
 	if t <= v.now {
-		return
-	}
-	if v.stepwise {
-		for v.now < t {
-			v.now++
-			v.Stats.StallCycles[reason]++
-		}
 		return
 	}
 	d := t - v.now
@@ -464,8 +440,8 @@ func (v *Vault) Abort() {
 // and pending req responses empty, every PG controller Reset (its
 // Stats included), vault Stats zeroed, CRF and DataRF zeroed and
 // AddrRF zeroed except the A0-A3 identifier registers. Bank, PGSM and
-// VSM contents, the fault decision streams and the fast-forward tally
-// survive. Host loading writes only memories, so nothing a run reads
+// VSM contents, the fault decision streams and the skipped-cycle
+// tally survive. Host loading writes only memories, so nothing a run reads
 // from registers can come from an earlier run.
 func (v *Vault) rewind() {
 	v.pc = 0

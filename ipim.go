@@ -92,7 +92,7 @@ type (
 // Execution modes (see sim.Mode). FunctionalMode produces bit-identical
 // register/memory/pixel outputs with no cycle accounting — Stats carry
 // instruction counts with Cycles = 0 — and runs several times faster on
-// the host (BENCH_funcmode.json).
+// the host (docs/BENCHMARKS.md).
 const (
 	// CycleMode is the full timing simulation (the zero Mode).
 	CycleMode = sim.CycleMode

@@ -33,7 +33,7 @@ go run ./scripts/linkcheck
 go test -race -cover -coverprofile=coverage.out -timeout 30m ./...
 
 # Benchmark smoke: one iteration of the full-machine benchmark (the
-# fast-forward hot path), of the cycle-mode simulator-core benchmark,
+# full 128-vault machine), of the cycle-mode simulator-core benchmark,
 # of its functional-mode mirror and of the compile benchmark, so no
 # bench harness can rot between PRs. -benchtime=1x keeps these to
 # build-and-run checks; any panic or error fails CI. Real numbers come
@@ -64,8 +64,8 @@ go run ./cmd/ipim-bench -mode functional -div 8 -json-dnn - > /dev/null
 # checkpoint file, then resume it to completion through the shipped
 # CLI — one Table II workload with real phase barriers (Histogram) and
 # one DNN workload (GEMM runs under ipim-bench's dnn sweep above). The
-# checkpoint_test.go differential matrix (4 workloads × FF/stepwise ×
-# worker counts × fault rates, restore at first/middle/last barrier)
+# checkpoint_test.go differential matrix (4 workloads × worker counts
+# × fault rates, restore at first/middle/last barrier)
 # is the real correctness gate under -race above; this slot keeps the
 # -checkpoint/-resume flag surface and the restore-from-disk path from
 # rotting. The chaos soak (injected worker panics + pool teardown,
@@ -123,6 +123,7 @@ go test ./internal/autotune -run='^$' -fuzz='^FuzzStoreReplay$' -fuzztime=10s
 # Run-request bodies are kilobytes too; the same cap keeps minimization
 # from taking the slot.
 go test ./internal/serve -run='^$' -fuzz='^FuzzRunRequest$' -fuzztime=10s -fuzzminimizetime=100x
+go test ./internal/fleet -run='^$' -fuzz='^FuzzRegister$' -fuzztime=10s
 
 # Coverage floor over the internal packages' own statements (cmd/ and
 # examples/ mains are exercised end-to-end by the examples smoke test

@@ -6,9 +6,6 @@
 //	ipim-bench                 # run everything at full bench sizes
 //	ipim-bench -exp fig6       # one experiment
 //	ipim-bench -div 4          # shrink images 4x for a quick pass
-//	ipim-bench -json results.json   # machine-readable suite results
-//	                                # (workload, config, cycles, ns,
-//	                                # energy) for BENCH_*.json tracking
 package main
 
 import (
@@ -26,8 +23,6 @@ import (
 func main() {
 	expName := flag.String("exp", "all", "experiment to run: all, "+strings.Join(exp.ExperimentNames(), ", "))
 	div := flag.Int("div", 1, "divide bench image sizes by this factor (faster, same shapes)")
-	jsonPath := flag.String("json", "", "write machine-readable Table II suite results to this file ('-' = stdout) and exit")
-	jsonDNNPath := flag.String("json-dnn", "", "write machine-readable DNN/GEMM family results (baseline and multi-array schedules) to this file ('-' = stdout) and exit")
 	faultSpec := flag.String("faults", "",
 		"fault-injection spec applied to every simulated machine (empty = off; the faults sweep manages its own plans)")
 	maxCycles := flag.Int64("max-cycles", 0,
@@ -58,38 +53,6 @@ func main() {
 	c.MaxCycles = *maxCycles
 	if *mode == "functional" {
 		c.Mode = ipim.FunctionalMode
-	}
-
-	writeJSON := func(path string, collect func() ([]exp.BenchRecord, error)) {
-		// Open the output before the ~15 s suite run so a bad path
-		// fails immediately.
-		out := os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ipim-bench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		recs, err := collect()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipim-bench:", err)
-			os.Exit(1)
-		}
-		if err := exp.WriteBenchJSON(out, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "ipim-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *jsonPath != "" {
-		writeJSON(*jsonPath, c.BenchRecords)
-		return
-	}
-	if *jsonDNNPath != "" {
-		writeJSON(*jsonDNNPath, c.DNNBenchRecords)
-		return
 	}
 
 	run := func(name string) error {

@@ -7,7 +7,7 @@ package ipim
 // stage-ahead schedule on and off, in cycle and functional modes, at
 // any phase-worker count. The multi-array schedule must also actually
 // pay: fewer cycles than the baseline list schedule on the GEMM and
-// conv operators (the BENCH_dnn.json acceptance gate, pinned here at
+// conv operators (the EXPERIMENTS.md DNN table's claim, pinned here at
 // reduced size).
 
 import (

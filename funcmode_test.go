@@ -295,12 +295,12 @@ func warmMemo(t *testing.T, m *Machine, art *Artifact, img *Image) (hits, misses
 	return
 }
 
-// TestTimingMemoInvalidation is the table-driven proof that the block
-// cache is bypassed or flushed — never consulted stale — under every
-// condition that can change what a block's timing means: fault plans,
-// execution budgets, Reset, and DRAM policy swaps (autotune's
-// deferred-restore path calls SetDRAMPolicy mid-lifetime with the
-// machine warm).
+// TestTimingMemoInvalidation is the table-driven proof that the run
+// memo is bypassed or flushed — never consulted stale — under every
+// condition outside its key that can change what a run's timing means:
+// fault plans, execution budgets, Reset and the memo switch. (DRAM
+// policies are part of the key; internal/cube's
+// TestRunMemoKeysDRAMPolicies covers swaps.)
 func TestTimingMemoInvalidation(t *testing.T) {
 	cfg := OneVaultConfig()
 	wl, err := WorkloadByName("GaussianBlur")
@@ -342,23 +342,6 @@ func TestTimingMemoInvalidation(t *testing.T) {
 		}
 		if ms <= m0 {
 			t.Errorf("post-Reset run recorded no miss (misses %d -> %d)", m0, ms)
-		}
-	})
-
-	t.Run("policy-swap-flushes", func(t *testing.T) {
-		// SetDRAMPolicy with the SAME policies is the adversarial case:
-		// machine state is unchanged, so stale blocks would match — the
-		// swap must flush anyway (autotune restores policies this way
-		// on a warm machine).
-		m, h0, m0 := newWarm(t)
-		m.SetDRAMPolicy(cfg.Page, cfg.Sched)
-		runOnce(t, m)
-		h, ms := m.TimingMemoStats()
-		if h != h0 {
-			t.Errorf("post-swap run hit the cache (%d -> %d hits); SetDRAMPolicy must flush", h0, h)
-		}
-		if ms <= m0 {
-			t.Errorf("post-swap run recorded no miss (misses %d -> %d)", m0, ms)
 		}
 	})
 

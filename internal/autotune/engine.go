@@ -139,9 +139,11 @@ func (e *Engine) Search(ctx context.Context, p Problem, strat Strategy) (*Report
 	return report, nil
 }
 
-// eval compiles and runs one candidate pipeline on a pooled machine,
-// verifying the output against the golden reference before accepting
-// the cycle count.
+// eval compiles one candidate pipeline and runs it once, timed, on a
+// pooled machine, accepting its cycle count only if the output matches
+// the golden reference. Cycle mode applies every data effect through
+// the same executor as FunctionalMode, so the timed run's output is
+// the one to check.
 func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *halide.Pipeline, c Candidate, img, ref *pixel.Image) Result {
 	r := Result{Candidate: c}
 	cfg := p.Cfg
@@ -151,19 +153,16 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 		r.Err = err
 		return r
 	}
-	// Functional pre-screen: run the candidate once in FunctionalMode —
-	// several times cheaper than a timed run — and verify its output
-	// against the golden reference before paying for cycle-accurate
-	// simulation. Schedule-dependent miscompiles are rejected here
-	// without ever advancing a DRAM clock; functional and cycle outputs
-	// are bit-identical by construction, so the timed run below needs no
-	// second verification.
+	// Every run starts from a fresh machine, so the measurement is
+	// independent of which candidates this worker evaluated before it —
+	// a precondition for worker-count determinism.
 	m.SetDRAMPolicy(c.Page, c.Sched)
 	if err := compiler.LoadInput(m, art, img); err != nil {
 		r.Err = err
 		return r
 	}
-	if _, err := compiler.ExecuteContext(ctx, m, art, sim.RunOptions{Mode: sim.FunctionalMode}); err != nil {
+	stats, err := compiler.ExecuteContext(ctx, m, art, sim.RunOptions{MaxCycles: e.MaxCycles})
+	if err != nil {
 		r.Err = err
 		return r
 	}
@@ -174,19 +173,6 @@ func (e *Engine) eval(ctx context.Context, m *cube.Machine, p Problem, pipe *hal
 	}
 	if pixel.MaxAbsDiff(out, ref) != 0 {
 		r.Err = fmt.Errorf("autotune: candidate %s diverged from reference", c)
-		return r
-	}
-	// Every run starts from a fresh machine, so the measurement is
-	// independent of which candidates this worker evaluated before it
-	// (and of the pre-screen above) — a precondition for worker-count
-	// determinism.
-	if err := compiler.LoadInput(m, art, img); err != nil {
-		r.Err = err
-		return r
-	}
-	stats, err := compiler.ExecuteContext(ctx, m, art, sim.RunOptions{MaxCycles: e.MaxCycles})
-	if err != nil {
-		r.Err = err
 		return r
 	}
 	r.Cycles = stats.Cycles

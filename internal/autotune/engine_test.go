@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ipim/internal/dram"
@@ -166,6 +167,33 @@ func TestSearchReportsInfeasible(t *testing.T) {
 	}
 	if last := report.Results[len(report.Results)-1]; last.Err == nil {
 		t.Fatal("infeasible candidate not reported")
+	}
+}
+
+// TestSearchRejectsDivergentCandidate: a candidate whose pipeline
+// computes something other than the reference is ranked infeasible,
+// however few cycles it takes.
+func TestSearchRejectsDivergentCandidate(t *testing.T) {
+	p := tinyProblem()
+	bad := Candidate{TileW: 16, TileH: 4}
+	p.Build = func(c Candidate) *halide.Pipeline {
+		if c == bad {
+			out := halide.NewFunc("ty").Define(halide.Mul(halide.In(0, 0), halide.K(2)))
+			return Apply(halide.NewPipeline("tuneblur", out), c)
+		}
+		return Apply(tuneBlur(), c)
+	}
+	strat := &listStrategy{batches: [][]Candidate{{bad, {TileW: 8, TileH: 8}}}}
+	report, err := (&Engine{}).Search(context.Background(), p, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := report.Results[0]; first.Err != nil {
+		t.Fatalf("faithful candidate infeasible: %v", first.Err)
+	}
+	last := report.Results[len(report.Results)-1]
+	if last.Candidate != bad || last.Err == nil || !strings.Contains(last.Err.Error(), "diverged") {
+		t.Fatalf("divergent candidate ranked as %+v, want infeasible with a \"diverged\" error", last)
 	}
 }
 

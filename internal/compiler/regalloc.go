@@ -107,50 +107,37 @@ func (a *allocator) linearize() {
 	}
 }
 
-// vrefs returns the virtual register operands of an instruction,
-// split into uses and defs, for one register space.
-func vrefs(in *isa.Instruction, space isa.RegSpace) (uses, defs []int) {
-	for _, u := range in.Uses() {
-		if u.Space == space && IsVirtual(u.Index) {
-			uses = append(uses, u.Index)
-		}
-	}
-	for _, d := range in.Defs() {
-		if d.Space == space && IsVirtual(d.Index) {
-			defs = append(defs, d.Index)
-		}
-	}
-	// Partial-lane loads preserve unwritten lanes: treat the def as a
-	// use too so the value stays live through the lane sequence.
-	if in.Op.IsSIMB() && in.VecMask != isa.VecMaskAll {
-		for _, d := range defs {
-			uses = append(uses, d)
-		}
-	}
-	return uses, defs
+// allocated reports whether r is a virtual register of a space the
+// allocator assigns (DataRF or AddrRF).
+func allocated(r isa.RegRef) bool {
+	return r.Space <= isa.SpaceARF && IsVirtual(r.Index)
 }
 
+// buildRanges records each virtual register's live range, from its
+// first def or use to its last. A partial-lane def also reads its
+// register (it keeps the other lanes), but that read falls at the
+// def's own position and extends nothing.
 func (a *allocator) buildRanges() {
 	for pos, ref := range a.order {
-		in := &ref.b.ins[ref.ix]
-		for _, space := range []isa.RegSpace{isa.SpaceDRF, isa.SpaceARF} {
-			uses, defs := vrefs(in, space)
-			for _, v := range uses {
-				r := a.rangeOf(space, v)
-				if r.vreg == 0 {
-					// Use before def can only be a loop-carried base
-					// register updated in place; start the range here.
-					*r = liveRange{vreg: v, start: pos}
-				}
-				r.end = pos
+		regs := ref.b.ins[ref.ix].Regs()
+		for _, u := range regs.Use[:regs.NUse] {
+			if !allocated(u) {
+				continue
 			}
-			for _, v := range defs {
-				r := a.rangeOf(space, v)
-				if r.vreg == 0 {
-					*r = liveRange{vreg: v, start: pos, end: pos}
-				} else if pos > r.end {
-					r.end = pos
-				}
+			r := a.rangeOf(u.Space, u.Index)
+			if r.vreg == 0 {
+				// Use before def can only be a loop-carried base
+				// register updated in place; start the range here.
+				*r = liveRange{vreg: u.Index, start: pos}
+			}
+			r.end = pos
+		}
+		if d := regs.Def; regs.HasDef && allocated(d) {
+			r := a.rangeOf(d.Space, d.Index)
+			if r.vreg == 0 {
+				*r = liveRange{vreg: d.Index, start: pos, end: pos}
+			} else if pos > r.end {
+				r.end = pos
 			}
 		}
 	}
@@ -302,44 +289,9 @@ func (a *allocator) assign(space isa.RegSpace, firstPhys, nPhys int, spilled map
 		panic(fmt.Sprintf("compiler: vreg %d of space %v unallocated", idx, space))
 	}
 	for _, ref := range a.order {
-		in := &ref.b.ins[ref.ix]
-		a.rewriteOperands(in, space, rewrite)
+		ref.b.ins[ref.ix].RewriteRegs(space, rewrite)
 	}
 	return nil
-}
-
-// rewriteOperands maps every operand of one register space through fn.
-func (a *allocator) rewriteOperands(in *isa.Instruction, space isa.RegSpace, fn func(int) int) {
-	switch space {
-	case isa.SpaceDRF:
-		switch in.Op {
-		case isa.OpComp:
-			in.Dst, in.Src1, in.Src2 = fn(in.Dst), fn(in.Src1), fn(in.Src2)
-		case isa.OpLdRF, isa.OpStRF, isa.OpRdPGSM, isa.OpWrPGSM,
-			isa.OpRdVSM, isa.OpWrVSM, isa.OpReset, isa.OpMovDRF:
-			in.Dst = fn(in.Dst)
-		case isa.OpMovARF:
-			in.Src1 = fn(in.Src1)
-		}
-	case isa.SpaceARF:
-		switch in.Op {
-		case isa.OpCalcARF:
-			in.Dst, in.Src1 = fn(in.Dst), fn(in.Src1)
-			if !in.HasImm {
-				in.Src2 = fn(in.Src2)
-			}
-		case isa.OpMovARF:
-			in.Dst = fn(in.Dst)
-		case isa.OpMovDRF:
-			in.Src1 = fn(in.Src1)
-		}
-		if in.Indirect && in.Op != isa.OpCalcARF {
-			in.Addr = uint32(fn(int(in.Addr)))
-		}
-		if in.Indirect2 {
-			in.Addr2 = uint32(fn(int(in.Addr2)))
-		}
-	}
 }
 
 // insertSpills rewrites instructions whose operands were spilled:
@@ -382,16 +334,23 @@ func (a *allocator) insertSpills(spilled map[int]int) {
 				return t
 			}
 			// Reload spilled uses (including the read-modify-write
-			// accumulator of mac and partial-lane loads).
-			uses, _ := vrefs(&in, isa.SpaceDRF)
-			for _, v := range uses {
-				mapUse(v)
+			// accumulator of mac), then a spilled partial-lane def,
+			// whose unwritten lanes the instruction keeps.
+			regs := in.Regs()
+			for _, u := range regs.Use[:regs.NUse] {
+				if u.Space == isa.SpaceDRF {
+					mapUse(u.Index)
+				}
+			}
+			writesDRF := regs.HasDef && regs.Def.Space == isa.SpaceDRF
+			if writesDRF && in.Op.IsSIMB() && in.VecMask != isa.VecMaskAll {
+				mapUse(regs.Def.Index)
 			}
 			// Rewrite all DRF operands through the temp map; a spilled
 			// pure def gets a temp too.
 			var defSlot = -1
 			var defTemp = -1
-			a.rewriteOperands(&in, isa.SpaceDRF, func(v int) int {
+			in.RewriteRegs(isa.SpaceDRF, func(v int) int {
 				if !IsVirtual(v) {
 					return v
 				}
@@ -409,19 +368,17 @@ func (a *allocator) insertSpills(spilled map[int]int) {
 				return t
 			})
 			// Defs that were reloaded as uses also need a writeback.
-			for _, d := range in.Defs() {
-				if d.Space != isa.SpaceDRF {
-					continue
-				}
+			if writesDRF {
+				dst := in.Regs().Def.Index
 				for v, t := range tempOf {
-					if t == d.Index {
+					if t == dst {
 						defSlot, defTemp = spilled[v], t
 					}
 				}
 			}
 			ins = append(ins, in)
 			tags = append(tags, tag)
-			if defTemp >= 0 && writesDRF(&in) {
+			if defTemp >= 0 && writesDRF {
 				st := isa.New(isa.OpStRF)
 				st.Dst = defTemp
 				st.Addr = slotAddr(defSlot)
@@ -432,13 +389,4 @@ func (a *allocator) insertSpills(spilled map[int]int) {
 		}
 		b.ins, b.tags = ins, tags
 	}
-}
-
-func writesDRF(in *isa.Instruction) bool {
-	for _, d := range in.Defs() {
-		if d.Space == isa.SpaceDRF {
-			return true
-		}
-	}
-	return false
 }

@@ -187,7 +187,7 @@ func buildDeps(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 	for i := 0; i < n; i++ {
 		g.lat[i] = estimateLatency(cfg, &b.ins[i])
 	}
-	var regs regState
+	var state regState
 	bank, pgsm, vsm := aliasState{}, aliasState{}, aliasState{}
 	// Memory order enforcement state: the last bank access per tag and
 	// the last one with an unknown tag.
@@ -195,15 +195,16 @@ func buildDeps(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 	prevUnknown := -1
 	for j := 0; j < n; j++ {
 		in := &b.ins[j]
-		for _, u := range in.Uses() {
-			r := regs.at(u)
+		regs := in.Regs()
+		for _, u := range regs.Use[:regs.NUse] {
+			r := state.at(u)
 			if r.def > 0 {
 				g.addEdge(r.def-1, j, g.lat[r.def-1]) // RAW: full producer latency
 			}
 			r.uses = append(r.uses, j)
 		}
-		for _, d := range in.Defs() {
-			r := regs.at(d)
+		if regs.HasDef {
+			r := state.at(regs.Def)
 			if r.def > 0 {
 				g.addEdge(r.def-1, j, 1) // WAW: issue order only
 			}

@@ -38,14 +38,15 @@ func buildDepsRef(cfg *sim.Config, b *block, memOrder bool) *depGraph {
 	lastDef := map[isa.RegRef]int{}
 	lastUses := map[isa.RegRef][]int{}
 	for j := 0; j < n; j++ {
-		in := &b.ins[j]
-		for _, u := range in.Uses() {
+		regs := b.ins[j].Regs()
+		for _, u := range regs.Use[:regs.NUse] {
 			if w, ok := lastDef[u]; ok {
 				addEdge(w, j, g.lat[w]) // RAW: full producer latency
 			}
 			lastUses[u] = append(lastUses[u], j)
 		}
-		for _, d := range in.Defs() {
+		if regs.HasDef {
+			d := regs.Def
 			if w, ok := lastDef[d]; ok {
 				addEdge(w, j, 1) // WAW: issue order only
 			}

@@ -165,8 +165,10 @@ func (m *Machine) TimingMemoStats() (hits, misses int64) {
 // only, never data (internal/dram is timing-only), so outputs are
 // bit-identical across settings; the schedule auto-tuner and the
 // serving daemon use this to evaluate and serve tuned DRAM policies on
-// a pooled machine without rebuilding it. Not safe to call during an
-// active Run — change policies only between runs.
+// a pooled machine without rebuilding it. The timing memo keys each
+// recorded run on its policies, so a swap keeps the records, and a
+// swap back finds the runs recorded before. Not safe to call during
+// an active Run — change policies only between runs.
 func (m *Machine) SetDRAMPolicy(page dram.PagePolicy, sched dram.SchedPolicy) {
 	for _, cube := range m.Vaults {
 		for _, v := range cube {
@@ -175,8 +177,6 @@ func (m *Machine) SetDRAMPolicy(page dram.PagePolicy, sched dram.SchedPolicy) {
 			}
 		}
 	}
-	// Recorded runs were timed under the old policies.
-	m.memo.flush()
 }
 
 // FastForwardedCycles totals, over every vault, the idle cycles crossed

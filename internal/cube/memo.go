@@ -12,25 +12,29 @@ package cube
 // input image.
 //
 // The memo records the Stats of each eligible run under its active
-// vaults and their programs. A later run of the same programs executes
-// in FunctionalMode, through the same execFunc cycle mode applies every
+// vaults, their programs and the DRAM policies they ran under. A later
+// run of the same programs under the same policies executes in
+// FunctionalMode, through the same execFunc cycle mode applies every
 // data effect with, so its outputs are computed afresh, and returns the
 // recorded Stats. Exact key comparison (pointer identity of finalized
 // programs, which records keep alive) leaves no collision risk.
 //
 // A run may consult the memo only when nothing outside the key can
 // steer its timing: memo on, no fault plan, no tracer on an active
-// vault, and cycle mode with no budget and no checkpoint sink (a
-// checkpoint holds cycle-mode timing state that a functional replay
-// never builds). A run that fails these conditions bypasses the memo
-// and leaves it intact. The memo flushes on Reset (so on every cancel
-// and budget abort), SetDRAMPolicy, SetFaultPlan, Restore and
-// SetTimingMemo(false).
+// vault, every active controller under the same policies (only a
+// restored checkpoint could mix them), and cycle mode with no budget
+// and no checkpoint sink (a checkpoint holds cycle-mode timing state
+// that a functional replay never builds). A run that fails these
+// conditions bypasses the memo and leaves it intact. The memo flushes
+// on Reset (so on every cancel and budget abort), SetFaultPlan, Restore
+// and SetTimingMemo(false); SetDRAMPolicy leaves it intact, so a
+// machine that swaps policies per run keeps the records of each.
 
 import (
 	"context"
 	"slices"
 
+	"ipim/internal/dram"
 	"ipim/internal/isa"
 	"ipim/internal/sim"
 	"ipim/internal/vault"
@@ -44,8 +48,15 @@ const memoMaxRuns = 256
 type runRecord struct {
 	keys  [][2]int       // active vaults, ascending (cube, vault)
 	progs []*isa.Program // each active vault's program, in keys order
+	pol   policies       // the DRAM policies the run's controllers ran under
 	stats sim.Stats      // what the run returned
 	ff    int64          // idle cycles the run's vaults jumped over
+}
+
+// policies is a DRAM controller's row-buffer and scheduling policy.
+type policies struct {
+	page  dram.PagePolicy
+	sched dram.SchedPolicy
 }
 
 // runMemo is the machine's recorded runs and its lifetime tallies.
@@ -58,11 +69,11 @@ type runMemo struct {
 // flush drops every record; the tallies survive.
 func (mm *runMemo) flush() { mm.records = nil }
 
-// lookup returns the record of the run with these keys and programs,
-// or nil.
-func (mm *runMemo) lookup(keys [][2]int, progs []*isa.Program) *runRecord {
+// lookup returns the record of the run with these keys, programs and
+// policies, or nil.
+func (mm *runMemo) lookup(keys [][2]int, progs []*isa.Program, pol policies) *runRecord {
 	for _, r := range mm.records {
-		if slices.Equal(r.keys, keys) && slices.Equal(r.progs, progs) {
+		if r.pol == pol && slices.Equal(r.keys, keys) && slices.Equal(r.progs, progs) {
 			return r
 		}
 	}
@@ -76,12 +87,23 @@ func (m *Machine) memoEligible(active []*vault.Vault, opts sim.RunOptions) bool 
 		opts.Mode != sim.CycleMode || opts.Enabled() || opts.CheckpointSink != nil {
 		return false
 	}
+	pol := policiesOf(active[0].PGs[0].Ctrl)
 	for _, v := range active {
 		if v.Tracer() != nil {
 			return false
 		}
+		for _, pg := range v.PGs {
+			if policiesOf(pg.Ctrl) != pol {
+				return false
+			}
+		}
 	}
 	return true
+}
+
+func policiesOf(c *dram.Controller) policies {
+	page, sched := c.Policies()
+	return policies{page, sched}
 }
 
 // memoRun drives an eligible run: a hit replays it functionally and
@@ -89,7 +111,8 @@ func (m *Machine) memoEligible(active []*vault.Vault, opts sim.RunOptions) bool 
 // it unless a program contains mov_arf.
 func (m *Machine) memoRun(ctx context.Context, keys [][2]int, progs []*isa.Program, active []*vault.Vault, opts sim.RunOptions) (sim.Stats, error) {
 	mm := &m.memo
-	if r := mm.lookup(keys, progs); r != nil {
+	pol := policiesOf(active[0].PGs[0].Ctrl) // shared by every active controller
+	if r := mm.lookup(keys, progs, pol); r != nil {
 		mm.hits++
 		replay := opts
 		replay.Mode = sim.FunctionalMode
@@ -109,7 +132,7 @@ func (m *Machine) memoRun(ctx context.Context, keys [][2]int, progs []*isa.Progr
 		mm.flush()
 	}
 	mm.records = append(mm.records, &runRecord{
-		keys: keys, progs: progs, stats: stats, ff: m.FastForwardedCycles() - ff0,
+		keys: keys, progs: progs, pol: pol, stats: stats, ff: m.FastForwardedCycles() - ff0,
 	})
 	return stats, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ipim/internal/dram"
 	"ipim/internal/fault"
 	"ipim/internal/isa"
 	"ipim/internal/sim"
@@ -148,6 +149,9 @@ func TestRunMemoBypasses(t *testing.T) {
 			set: func(m *Machine) { m.Vault(0, 1).SetTracer(&vault.Tracer{}) }, unset: func(m *Machine) { m.Vault(0, 1).SetTracer(nil) }},
 		{name: "fault-plan", flushes: true,
 			set: func(m *Machine) { m.SetFaultPlan(&fault.Plan{Seed: 3, DRAMBitFlipRate: 1e-6}) }, unset: func(m *Machine) { m.SetFaultPlan(nil) }},
+		{name: "mixed-dram-policies",
+			set:   func(m *Machine) { m.Vault(0, 1).PGs[0].Ctrl.SetPolicies(dram.ClosePage, dram.FCFS) },
+			unset: func(m *Machine) { m.Vault(0, 1).PGs[0].Ctrl.SetPolicies(m.Cfg.Page, m.Cfg.Sched) }},
 		{name: "max-cycles", opts: sim.RunOptions{MaxCycles: 1 << 40}},
 		{name: "max-phase-steps", opts: sim.RunOptions{MaxPhaseSteps: 1 << 40}},
 		{name: "checkpoint-sink", opts: sim.RunOptions{CheckpointEvery: 1, CheckpointSink: func([]byte) error { return nil }}},
@@ -188,7 +192,6 @@ func TestRunMemoFlushes(t *testing.T) {
 		flush func(t *testing.T, m *Machine)
 	}{
 		{"reset", func(t *testing.T, m *Machine) { m.Reset() }},
-		{"dram-policy", func(t *testing.T, m *Machine) { m.SetDRAMPolicy(m.Cfg.Page, m.Cfg.Sched) }},
 		{"fault-plan", func(t *testing.T, m *Machine) { m.SetFaultPlan(nil) }},
 		{"memo-off", func(t *testing.T, m *Machine) { m.SetTimingMemo(false); m.SetTimingMemo(true) }},
 		{"restore", func(t *testing.T, m *Machine) {
@@ -209,6 +212,41 @@ func TestRunMemoFlushes(t *testing.T) {
 				t.Errorf("run after the flush left the tallies at %d hits, %d misses; want 1, 2", h, ms)
 			}
 		})
+	}
+}
+
+// TestRunMemoKeysDRAMPolicies: records are keyed on the DRAM policies
+// the run's controllers ran under. A run under other policies misses
+// and returns what a memo-off machine returns under them; swapping the
+// policies back hits the record made before the swap.
+func TestRunMemoKeysDRAMPolicies(t *testing.T) {
+	p := mustAssemble(t, memoSrc)
+	m := warmMemoMachine(t, p)
+	base := runSameOK(t, m, p, sim.RunOptions{})
+
+	off := newTinyMachine(t)
+	off.SetTimingMemo(false)
+	memoInputs(t, off, 0)
+	off.SetDRAMPolicy(dram.ClosePage, dram.FCFS)
+	want := runSameOK(t, off, p, sim.RunOptions{})
+	if reflect.DeepEqual(want, base) {
+		t.Fatal("close-page FCFS stats equal the default policies' stats; the test shows nothing")
+	}
+
+	m.SetDRAMPolicy(dram.ClosePage, dram.FCFS)
+	if got := runSameOK(t, m, p, sim.RunOptions{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("close-page FCFS run differs from memo-off:\nmemo %+v\noff  %+v", got, want)
+	}
+	if h, ms := m.TimingMemoStats(); h != 2 || ms != 2 {
+		t.Errorf("after the swap the tallies are %d hits, %d misses; want 2, 2 (a miss)", h, ms)
+	}
+
+	m.SetDRAMPolicy(m.Cfg.Page, m.Cfg.Sched)
+	if got := runSameOK(t, m, p, sim.RunOptions{}); !reflect.DeepEqual(got, base) {
+		t.Errorf("run after swapping back differs from the first policies' run:\nback  %+v\nfirst %+v", got, base)
+	}
+	if h, ms := m.TimingMemoStats(); h != 3 || ms != 2 {
+		t.Errorf("after swapping back the tallies are %d hits, %d misses; want 3, 2 (a hit)", h, ms)
 	}
 }
 

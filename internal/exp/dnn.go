@@ -13,13 +13,11 @@ import (
 
 // The DNN/GEMM family experiment: every workload under the baseline
 // list schedule and the multi-array stage-ahead schedule, each output
-// checked bit-for-bit against its host golden reference. BENCH_dnn.json
-// tracks the two schedules' records per workload across PRs.
+// checked bit-for-bit against its host golden reference.
 
 // dnnRun is one executed DNN workload configuration.
 type dnnRun struct {
 	stats sim.Stats
-	art   *compiler.Artifact
 	imgW  int
 	imgH  int
 	// goldenDiff is the max abs deviation from the host golden (0 for a
@@ -74,7 +72,7 @@ func (c *Context) runDNN(wl workloads.DNNWorkload, multiArray bool) (*dnnRun, er
 	if err != nil {
 		return nil, err
 	}
-	r := &dnnRun{stats: stats, art: art, imgW: imgW, imgH: imgH,
+	r := &dnnRun{stats: stats, imgW: imgW, imgH: imgH,
 		goldenDiff: float64(pixel.MaxAbsDiff(out, wl.Host(img)))}
 	if c.dnnCache == nil {
 		c.dnnCache = map[string]*dnnRun{}
@@ -118,36 +116,4 @@ func (c *Context) DNN() (*Table, error) {
 		})
 	}
 	return tb, nil
-}
-
-// DNNBenchRecords returns the BENCH_dnn.json rows: one record per
-// (workload, schedule), Config distinguishing the two schedules.
-func (c *Context) DNNBenchRecords() ([]BenchRecord, error) {
-	var recs []BenchRecord
-	for _, wl := range workloads.DNN() {
-		for _, multiArray := range []bool{false, true} {
-			r, err := c.runDNN(wl, multiArray)
-			if err != nil {
-				return nil, err
-			}
-			config := compiler.Opt.Name()
-			if multiArray {
-				config += "+multi_array"
-			}
-			recs = append(recs, BenchRecord{
-				Workload: wl.Name,
-				Config:   config,
-				ImgW:     r.imgW,
-				ImgH:     r.imgH,
-				Cycles:   r.stats.Cycles,
-				KernelNS: r.stats.Cycles,
-				EnergyJ: c.Energy.Compute(&r.stats, c.BenchCfg.TotalPEs(),
-					c.BenchCfg.TotalVaults(), 1.0).Total(),
-				IPC:    r.stats.IPC(),
-				Issued: r.stats.Issued,
-				Spills: r.art.Spills,
-			})
-		}
-	}
-	return recs, nil
 }

@@ -99,7 +99,8 @@ func TestUsesIncludesIndirectPGSMAddress(t *testing.T) {
 	in.Dst = 2
 	in.Indirect = true
 	in.Addr = 7
-	uses := in.Uses()
+	regs := in.Regs()
+	uses := regs.Use[:regs.NUse]
 	foundDRF, foundARF := false, false
 	for _, u := range uses {
 		if u == (RegRef{SpaceDRF, 2}) {

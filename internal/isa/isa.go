@@ -200,36 +200,6 @@ const (
 	ARFFirstFree = 4
 )
 
-// RegSpace identifies which register file a register reference names.
-type RegSpace uint8
-
-const (
-	SpaceDRF RegSpace = iota // per-PE data register file (vector)
-	SpaceARF                 // per-PE address register file (scalar)
-	SpaceCRF                 // control core register file (scalar)
-)
-
-func (s RegSpace) String() string {
-	switch s {
-	case SpaceDRF:
-		return "d"
-	case SpaceARF:
-		return "a"
-	case SpaceCRF:
-		return "c"
-	}
-	return "?"
-}
-
-// RegRef is a typed register reference used for hazard detection and
-// liveness analysis.
-type RegRef struct {
-	Space RegSpace
-	Index int
-}
-
-func (r RegRef) String() string { return fmt.Sprintf("%s%d", r.Space, r.Index) }
-
 // Instruction is one decoded SIMB instruction. A single struct covers all
 // formats; Validate reports which fields are meaningful for each opcode.
 type Instruction struct {
@@ -415,77 +385,4 @@ func (in *Instruction) Validate(drfSize, arfSize, crfSize int) error {
 		return nil
 	}
 	return fmt.Errorf("isa: invalid opcode %d", in.Op)
-}
-
-// Defs returns the register(s) written by the instruction. Memory
-// side-effects are not registers and are handled separately.
-func (in *Instruction) Defs() []RegRef {
-	switch in.Op {
-	case OpComp:
-		return []RegRef{{SpaceDRF, in.Dst}}
-	case OpCalcARF:
-		return []RegRef{{SpaceARF, in.Dst}}
-	case OpCalcCRF, OpSetiCRF:
-		return []RegRef{{SpaceCRF, in.Dst}}
-	case OpLdRF, OpRdPGSM, OpRdVSM, OpMovDRF, OpReset:
-		return []RegRef{{SpaceDRF, in.Dst}}
-	case OpMovARF:
-		return []RegRef{{SpaceARF, in.Dst}}
-	}
-	return nil
-}
-
-// Uses returns the register(s) read by the instruction, including
-// indirect-address registers and the accumulator read of mac.
-func (in *Instruction) Uses() []RegRef {
-	var uses []RegRef
-	addIndirect := func() {
-		if in.Indirect {
-			uses = append(uses, RegRef{SpaceARF, int(in.Addr)})
-		}
-	}
-	addIndirect2 := func() {
-		if in.Indirect2 {
-			uses = append(uses, RegRef{SpaceARF, int(in.Addr2)})
-		}
-	}
-	switch in.Op {
-	case OpComp:
-		uses = append(uses, RegRef{SpaceDRF, in.Src1}, RegRef{SpaceDRF, in.Src2})
-		if in.ALU.ReadsDst() {
-			uses = append(uses, RegRef{SpaceDRF, in.Dst})
-		}
-	case OpCalcARF:
-		uses = append(uses, RegRef{SpaceARF, in.Src1})
-		if !in.HasImm {
-			uses = append(uses, RegRef{SpaceARF, in.Src2})
-		}
-	case OpCalcCRF:
-		uses = append(uses, RegRef{SpaceCRF, in.Src1})
-		if !in.HasImm {
-			uses = append(uses, RegRef{SpaceCRF, in.Src2})
-		}
-	case OpStRF:
-		uses = append(uses, RegRef{SpaceDRF, in.Dst})
-		addIndirect()
-	case OpLdRF:
-		addIndirect()
-	case OpStPGSM, OpLdPGSM:
-		addIndirect()
-		addIndirect2()
-	case OpRdPGSM, OpRdVSM:
-		addIndirect()
-	case OpWrPGSM, OpWrVSM:
-		uses = append(uses, RegRef{SpaceDRF, in.Dst})
-		addIndirect()
-	case OpMovDRF:
-		uses = append(uses, RegRef{SpaceARF, in.Src1})
-	case OpMovARF:
-		uses = append(uses, RegRef{SpaceDRF, in.Src1})
-	case OpJump:
-		uses = append(uses, RegRef{SpaceCRF, in.Src1})
-	case OpCJump:
-		uses = append(uses, RegRef{SpaceCRF, in.Cond}, RegRef{SpaceCRF, in.Src1})
-	}
-	return uses
 }

@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -258,50 +260,103 @@ func TestInstructionValidate(t *testing.T) {
 }
 
 func TestDefsUses(t *testing.T) {
+	uses := func(r Regs) []RegRef { return r.Use[:r.NUse] }
 	comp := New(OpComp)
 	comp.ALU = FMac
 	comp.Dst, comp.Src1, comp.Src2 = 1, 2, 3
-	defs := comp.Defs()
-	if len(defs) != 1 || defs[0] != (RegRef{SpaceDRF, 1}) {
-		t.Errorf("fmac defs = %v", defs)
+	r := comp.Regs()
+	if !r.HasDef || r.Def != (RegRef{SpaceDRF, 1}) {
+		t.Errorf("fmac regs = %+v", r)
 	}
-	uses := comp.Uses()
-	// fmac reads src1, src2 AND dst.
-	want := map[RegRef]bool{{SpaceDRF, 2}: true, {SpaceDRF, 3}: true, {SpaceDRF, 1}: true}
-	if len(uses) != 3 {
-		t.Fatalf("fmac uses = %v", uses)
-	}
-	for _, u := range uses {
-		if !want[u] {
-			t.Errorf("unexpected use %v", u)
-		}
+	// fmac reads src1, src2 AND dst, in that order.
+	if got, want := uses(r), []RegRef{{SpaceDRF, 2}, {SpaceDRF, 3}, {SpaceDRF, 1}}; !slices.Equal(got, want) {
+		t.Errorf("fmac uses = %v, want %v", got, want)
 	}
 
 	st := New(OpStRF)
 	st.Dst = 7
 	st.Indirect = true
 	st.Addr = 9
-	uses = st.Uses()
-	if len(uses) != 2 {
-		t.Fatalf("st_rf uses = %v", uses)
+	r = st.Regs()
+	if got, want := uses(r), []RegRef{{SpaceDRF, 7}, {SpaceARF, 9}}; !slices.Equal(got, want) {
+		t.Fatalf("st_rf uses = %v, want %v", got, want)
 	}
-	if st.Defs() != nil {
-		t.Errorf("st_rf defs = %v, want none", st.Defs())
+	if r.HasDef {
+		t.Errorf("st_rf def = %v, want none", r.Def)
 	}
 
 	cj := New(OpCJump)
 	cj.Cond, cj.Src1 = 1, 2
-	uses = cj.Uses()
-	if len(uses) != 2 || uses[0] != (RegRef{SpaceCRF, 1}) || uses[1] != (RegRef{SpaceCRF, 2}) {
-		t.Errorf("cjump uses = %v", uses)
+	if got, want := uses(cj.Regs()), []RegRef{{SpaceCRF, 1}, {SpaceCRF, 2}}; !slices.Equal(got, want) {
+		t.Errorf("cjump uses = %v, want %v", got, want)
 	}
 
 	ld := New(OpLdPGSM)
 	ld.Indirect, ld.Addr = true, 4
 	ld.Indirect2, ld.Addr2 = true, 5
-	uses = ld.Uses()
-	if len(uses) != 2 {
-		t.Errorf("ld_pgsm with two indirect addresses uses = %v", uses)
+	if got, want := uses(ld.Regs()), []RegRef{{SpaceARF, 4}, {SpaceARF, 5}}; !slices.Equal(got, want) {
+		t.Errorf("ld_pgsm with two indirect addresses uses = %v, want %v", got, want)
+	}
+}
+
+// TestRegsMatchRewriteRegs checks that RewriteRegs visits exactly the
+// fields whose registers Regs reports, for every opcode with HasImm,
+// Indirect, Indirect2 and the mac accumulator read each on and off.
+// Every register field holds a distinct index, so the set of indices
+// names the set of fields.
+func TestRegsMatchRewriteRegs(t *testing.T) {
+	const shift = 100
+	for op := OpInvalid + 1; op < opEnd; op++ {
+		for flags := 0; flags < 16; flags++ {
+			in := New(op)
+			in.Dst, in.Src1, in.Src2, in.Cond = 1, 2, 3, 4
+			in.Addr, in.Addr2 = 5, 6
+			in.HasImm, in.Indirect, in.Indirect2 = flags&1 != 0, flags&2 != 0, flags&4 != 0
+			in.ALU = FAdd
+			if flags&8 != 0 {
+				in.ALU = FMac
+			}
+			name := fmt.Sprintf("%v imm=%v ind=%v ind2=%v alu=%v", op, in.HasImm, in.Indirect, in.Indirect2, in.ALU)
+			regs := in.Regs()
+			for space := SpaceDRF; space <= SpaceCRF; space++ {
+				want := map[int]bool{}
+				if regs.HasDef && regs.Def.Space == space {
+					want[regs.Def.Index] = true
+				}
+				for _, u := range regs.Use[:regs.NUse] {
+					if u.Space == space {
+						want[u.Index] = true
+					}
+				}
+				got := map[int]int{}
+				moved := in
+				moved.RewriteRegs(space, func(i int) int { got[i]++; return i + shift })
+				for i, n := range got {
+					if !want[i] || n != 1 {
+						t.Errorf("%s: rewrite of space %v visited field %d %d times; Regs reports %v", name, space, i, n, want)
+					}
+				}
+				for i := range want {
+					if got[i] == 0 {
+						t.Errorf("%s: rewrite of space %v skipped field %d, which Regs reports", name, space, i)
+					}
+				}
+				// The rewritten instruction names the mapped registers.
+				after := moved.Regs()
+				exp := regs
+				if exp.HasDef && exp.Def.Space == space {
+					exp.Def.Index += shift
+				}
+				for k := range exp.Use[:exp.NUse] {
+					if exp.Use[k].Space == space {
+						exp.Use[k].Index += shift
+					}
+				}
+				if after != exp {
+					t.Errorf("%s: after rewriting space %v Regs = %+v, want %+v", name, space, after, exp)
+				}
+			}
+		}
 	}
 }
 

@@ -56,28 +56,28 @@ func seedRegs(got, ref *Vault, seed uint32) {
 	}
 }
 
-// applyRef executes in on ref's masked PEs in [lo, hi) through the
-// per-PE interpreters.
-func applyRef(ref *Vault, in *isa.Instruction, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// applyRef executes in on ref's masked PEs through the per-PE
+// interpreters.
+func applyRef(ref *Vault, in *isa.Instruction) {
+	for i, pe := range ref.peFlat {
 		if in.SimbMask&(1<<uint(i)) == 0 {
 			continue
 		}
 		if in.Op == isa.OpComp {
-			ref.peFlat[i].Comp(in)
+			pe.Comp(in)
 		} else {
-			ref.peFlat[i].CalcARF(in)
+			pe.CalcARF(in)
 		}
 	}
 }
 
-// applyKernel executes in on got's masked PEs in [lo, hi) through the
-// shared kernels.
-func applyKernel(got *Vault, in *isa.Instruction, lo, hi int) {
+// applyKernel executes in on got's masked PEs through the shared
+// kernels.
+func applyKernel(got *Vault, in *isa.Instruction) {
 	if in.Op == isa.OpComp {
-		got.execFuncComp(in, in.SimbMask, lo, hi)
+		got.execFuncComp(in)
 	} else {
-		got.execFuncCalcARF(in, in.SimbMask, lo, hi)
+		got.execFuncCalcARF(in)
 	}
 }
 
@@ -98,7 +98,7 @@ func regsDiff(got, ref *Vault) string {
 	return ""
 }
 
-// refSimbMasks are the SIMB masks each range is swept with: every PE,
+// refSimbMasks are the SIMB masks each vault is swept with: every PE,
 // alternating PEs, one PE, every PE but the last, and a mask whose only
 // bits lie beyond a 32-PE vault.
 func refSimbMasks(nPE int) []uint64 {
@@ -112,8 +112,6 @@ func TestExecFuncCompVsPEComp(t *testing.T) {
 	type regs struct{ dst, s1, s2 int }
 	aliases := []regs{{2, 0, 1}, {0, 0, 1}, {1, 0, 1}, {3, 3, 3}}
 	for _, nPE := range []int{32, 64} {
-		// The full vault, plus a sub-range whose lo shifts the mask.
-		ranges := [][2]int{{0, nPE}, {4, nPE - 8}}
 		got, ref := refVaults(nPE, uint32(nPE))
 		seed := uint32(0)
 		for op := isa.ALUOp(1); op.ValidForComp(); op++ {
@@ -121,17 +119,15 @@ func TestExecFuncCompVsPEComp(t *testing.T) {
 				for _, rg := range aliases {
 					for _, vm := range []uint8{isa.VecMaskAll, 0x5, 0xA, 0x1, 0} {
 						for _, sm := range refSimbMasks(nPE) {
-							for _, span := range ranges {
-								seed++
-								seedRegs(got, ref, seed)
-								in := &isa.Instruction{Op: isa.OpComp, ALU: op, Mode: mode,
-									Dst: rg.dst, Src1: rg.s1, Src2: rg.s2, VecMask: vm, SimbMask: sm}
-								applyKernel(got, in, span[0], span[1])
-								applyRef(ref, in, span[0], span[1])
-								if d := regsDiff(got, ref); d != "" {
-									t.Fatalf("%d PEs [%d,%d) comp %v %v d%d,d%d,d%d vm=%#x sm=%#x: %s",
-										nPE, span[0], span[1], op, mode, rg.dst, rg.s1, rg.s2, vm, sm, d)
-								}
+							seed++
+							seedRegs(got, ref, seed)
+							in := &isa.Instruction{Op: isa.OpComp, ALU: op, Mode: mode,
+								Dst: rg.dst, Src1: rg.s1, Src2: rg.s2, VecMask: vm, SimbMask: sm}
+							applyKernel(got, in)
+							applyRef(ref, in)
+							if d := regsDiff(got, ref); d != "" {
+								t.Fatalf("%d PEs comp %v %v d%d,d%d,d%d vm=%#x sm=%#x: %s",
+									nPE, op, mode, rg.dst, rg.s1, rg.s2, vm, sm, d)
 							}
 						}
 					}
@@ -152,8 +148,8 @@ func TestExecFuncCompVsPEComp(t *testing.T) {
 					seedRegs(got, ref, seed)
 					in := &isa.Instruction{Op: isa.OpCalcARF, ALU: op, Dst: 1, Src1: 0, Src2: 2,
 						Imm: imm.v, HasImm: imm.has, SimbMask: sm}
-					applyKernel(got, in, 0, nPE)
-					applyRef(ref, in, 0, nPE)
+					applyKernel(got, in)
+					applyRef(ref, in)
 					if d := regsDiff(got, ref); d != "" {
 						t.Fatalf("%d PEs calc_arf %v imm=%v/%d sm=%#x: %s", nPE, op, imm.has, imm.v, sm, d)
 					}
@@ -199,8 +195,8 @@ func FuzzExecFuncVsEvalLane(f *testing.F) {
 			in.Op, in.Mode, in.VecMask = isa.OpCalcARF, isa.ModeVV, 0
 			in.Imm, in.HasImm = int64(imm), imm%2 == 0
 		}
-		applyKernel(got, in, 0, nPE)
-		applyRef(ref, in, 0, nPE)
+		applyKernel(got, in)
+		applyRef(ref, in)
 		if d := regsDiff(got, ref); d != "" {
 			t.Fatalf("%d PEs %+v: %s", nPE, *in, d)
 		}

@@ -311,30 +311,26 @@ func compKernelFor(op isa.ALUOp) compKernel {
 // fails to compile if the lane count ever changes.
 var _ [1]struct{} = [5 - isa.VecLanes]struct{}{}
 
-// execFuncComp executes one comp instruction across the masked PEs in
-// [lo, hi) with the op dispatch hoisted out of the lane loop. The ops
-// that dominate compiled image pipelines additionally get fused loops —
-// op dispatched once per instruction, lanes unrolled, no per-PE kernel
-// call — when every PE in range is selected. Partial vector masks and
-// unknown ops fall back to the generic per-PE interpreter.
-func (v *Vault) execFuncComp(in *isa.Instruction, mask uint64, lo, hi int) {
+// execFuncComp executes one comp instruction across the masked PEs
+// with the op dispatch hoisted out of the lane loop. The ops that
+// dominate compiled image pipelines additionally get fused loops — op
+// dispatched once per instruction, lanes unrolled, no per-PE kernel
+// call — when every PE of the vault is selected. Partial vector masks
+// and unknown ops fall back to the generic per-PE interpreter.
+func (v *Vault) execFuncComp(in *isa.Instruction) {
+	mask, pes := in.SimbMask, v.peFlat
 	if in.VecMask != isa.VecMaskAll {
-		for i := lo; i < hi; i++ {
+		for i, pe := range pes {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			v.peFlat[i].Comp(in)
+			pe.Comp(in)
 		}
 		return
 	}
-	pes := v.peFlat[lo:hi]
-	sub := mask >> uint(lo)
-	// 1<<64 shifts to 0 in Go, so the wrap still yields the all-ones
-	// mask for a 64-PE range.
-	all := sub&(uint64(1)<<uint(len(pes))-1) == uint64(1)<<uint(len(pes))-1
 	dst, s1, s2 := in.Dst, in.Src1, in.Src2
 	vs := in.Mode == isa.ModeVS
-	if all {
+	if selectsAll(mask, len(pes)) {
 		switch in.ALU {
 		case isa.FAdd:
 			if vs {
@@ -433,11 +429,11 @@ func (v *Vault) execFuncComp(in *isa.Instruction, mask uint64, lo, hi int) {
 	}
 	k := compKernelFor(in.ALU)
 	if k == nil {
-		for i := lo; i < hi; i++ {
+		for i, pe := range pes {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			v.peFlat[i].Comp(in)
+			pe.Comp(in)
 		}
 		return
 	}
@@ -447,22 +443,20 @@ func (v *Vault) execFuncComp(in *isa.Instruction, mask uint64, lo, hi int) {
 		// read-before-write semantics of the generic path when dst
 		// aliases src2.
 		var bb engine.Vector
-		for i := lo; i < hi; i++ {
+		for i, pe := range pes {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			pe := v.peFlat[i]
 			s := pe.DataRF[s2][0]
 			bb[0], bb[1], bb[2], bb[3] = s, s, s, s
 			k(&pe.DataRF[dst], &pe.DataRF[s1], &bb)
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i, pe := range pes {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		pe := v.peFlat[i]
 		k(&pe.DataRF[dst], &pe.DataRF[s1], &pe.DataRF[s2])
 	}
 }
@@ -487,35 +481,41 @@ func kernelAll(pes []*engine.PE, dst, s1, s2 int, vs bool, k compKernel) {
 	}
 }
 
-// execFuncCalcARF executes one calc_arf across the masked PEs in
-// [lo, hi). The compiler's address streams are overwhelmingly
-// iadd-with-immediate, so that shape gets a dedicated loop; everything
-// else goes through the generic scalar ALU.
-func (v *Vault) execFuncCalcARF(in *isa.Instruction, mask uint64, lo, hi int) {
+// execFuncCalcARF executes one calc_arf across the masked PEs. The
+// compiler's address streams are overwhelmingly iadd-with-immediate,
+// so that shape gets a dedicated loop; everything else goes through
+// the generic scalar ALU.
+func (v *Vault) execFuncCalcARF(in *isa.Instruction) {
+	mask, pes := in.SimbMask, v.peFlat
 	if in.HasImm && in.ALU == isa.IAdd {
 		imm := int32(in.Imm)
 		dst, src := in.Dst, in.Src1
-		pes := v.peFlat[lo:hi]
-		if sub := mask >> uint(lo); sub&(uint64(1)<<uint(len(pes))-1) == uint64(1)<<uint(len(pes))-1 {
-			for i := range pes {
-				pe := pes[i]
+		if selectsAll(mask, len(pes)) {
+			for _, pe := range pes {
 				pe.AddrRF[dst] = pe.AddrRF[src] + imm
 			}
 			return
 		}
-		for i := lo; i < hi; i++ {
+		for i, pe := range pes {
 			if mask&(1<<uint(i)) == 0 {
 				continue
 			}
-			pe := v.peFlat[i]
 			pe.AddrRF[dst] = pe.AddrRF[src] + imm
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i, pe := range pes {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		v.peFlat[i].CalcARF(in)
+		pe.CalcARF(in)
 	}
+}
+
+// selectsAll reports whether mask selects every one of n PEs. 1<<64
+// shifts to 0 in Go, so the wrap still yields the all-ones mask for a
+// 64-PE vault.
+func selectsAll(mask uint64, n int) bool {
+	all := uint64(1)<<uint(n) - 1
+	return mask&all == all
 }

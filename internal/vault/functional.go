@@ -64,13 +64,13 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 	nPE := v.Cfg.PEsPerVault()
 	switch in.Op {
 	case isa.OpComp:
-		v.execFuncComp(in, mask, 0, nPE)
+		v.execFuncComp(in)
 
 	case isa.OpCalcARF:
-		v.execFuncCalcARF(in, mask, 0, nPE)
+		v.execFuncCalcARF(in)
 
 	case isa.OpLdRF, isa.OpStRF, isa.OpLdPGSM, isa.OpStPGSM:
-		if err := v.execFuncBank(in, mask, 0, nPE); err != nil {
+		if err := v.execFuncBank(in); err != nil {
 			return err
 		}
 
@@ -194,11 +194,12 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 }
 
 // execFuncBank applies a bank instruction's data transfer for the masked
-// PEs in [lo, hi), plus one fault roll per PE per 128-bit column read,
-// in PE-then-column order (faultN advances identically in every mode,
-// so a fault plan corrupts the same bits). No DRAM request is enqueued
-// here; issueBank schedules those afterwards.
-func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error {
+// PEs, plus one fault roll per PE per 128-bit column read, in
+// PE-then-column order (faultN advances identically in every mode, so a
+// fault plan corrupts the same bits). No DRAM request is enqueued here;
+// issueBank schedules those afterwards.
+func (v *Vault) execFuncBank(in *isa.Instruction) error {
+	mask, nPE := in.SimbMask, len(v.peList)
 	// Lane-span offsets and the fault-plan test depend only on the
 	// instruction, not the PE: hoist them out of the loop.
 	lo4 := uint32(4 * lowLane(in.VecMask))
@@ -211,7 +212,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 		// must land in PE-then-column order.
 		switch {
 		case in.Op == isa.OpLdRF && in.VecMask == isa.VecMaskAll:
-			for i := lo; i < hi; i++ {
+			for i := 0; i < nPE; i++ {
 				if mask&(1<<uint(i)) == 0 {
 					continue
 				}
@@ -222,7 +223,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 			}
 			return nil
 		case in.Op == isa.OpStRF && in.VecMask == isa.VecMaskAll:
-			for i := lo; i < hi; i++ {
+			for i := 0; i < nPE; i++ {
 				if mask&(1<<uint(i)) == 0 {
 					continue
 				}
@@ -233,7 +234,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 			}
 			return nil
 		case in.Op == isa.OpLdPGSM:
-			for i := lo; i < hi; i++ {
+			for i := 0; i < nPE; i++ {
 				if mask&(1<<uint(i)) == 0 {
 					continue
 				}
@@ -246,7 +247,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 			}
 			return nil
 		case in.Op == isa.OpStPGSM:
-			for i := lo; i < hi; i++ {
+			for i := 0; i < nPE; i++ {
 				if mask&(1<<uint(i)) == 0 {
 					continue
 				}
@@ -260,7 +261,7 @@ func (v *Vault) execFuncBank(in *isa.Instruction, mask uint64, lo, hi int) error
 			return nil
 		}
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < nPE; i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}

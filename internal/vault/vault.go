@@ -51,8 +51,7 @@ type Remote interface {
 // is live exactly while it sits in the inflight queue, so reuse cannot
 // alias two in-flight instructions.
 type entry struct {
-	defs      []isa.RegRef
-	uses      []isa.RegRef
+	regs      isa.Regs // the instruction's registers, for the hazard check
 	completes int64
 	// Pending bank requests (emptied once resolved).
 	reqs []*dram.Request
@@ -61,15 +60,6 @@ type entry struct {
 	// usesTSV marks bank traffic that must serialize on the vault TSVs
 	// (PonB mode).
 	usesTSV bool
-}
-
-// instrDeps caches one instruction's register def/use sets. The vault
-// precomputes them at Load time so the issue loop's hazard checks never
-// allocate: isa.Instruction.Defs/Uses build fresh slices per call, which
-// at one call per issued instruction dominated the simulator's garbage
-// production.
-type instrDeps struct {
-	defs, uses []isa.RegRef
 }
 
 // peSlot pairs a PE with its process group, precomputed per vault-wide
@@ -103,10 +93,6 @@ type Vault struct {
 	vsmReady map[uint32]int64
 	done     bool
 	tracer   *Tracer
-
-	// deps[i] is the precomputed def/use set of prog.Ins[i] (rebuilt by
-	// Load; see instrDeps).
-	deps []instrDeps
 
 	// peList[i] is the (PG, PE) pair at vault-wide PE index i; peFlat
 	// is the same order with only the PE pointers, packed densely for
@@ -236,7 +222,6 @@ func (v *Vault) freeEntry(e *entry) {
 		v.reqPool = append(v.reqPool, r)
 	}
 	e.reqs = e.reqs[:0]
-	e.defs, e.uses = nil, nil
 	e.completes, e.extra, e.usesTSV = 0, 0, false
 	v.entryPool = append(v.entryPool, e)
 }
@@ -326,15 +311,6 @@ func (v *Vault) Load(p *isa.Program) error {
 	v.rewind()
 	v.prog = p
 	v.done = false
-	// Precompute per-instruction def/use sets so the issue loop's hazard
-	// checks are allocation-free (Defs/Uses build fresh slices per call).
-	if cap(v.deps) < len(p.Ins) {
-		v.deps = make([]instrDeps, len(p.Ins))
-	}
-	v.deps = v.deps[:len(p.Ins)]
-	for i := range p.Ins {
-		v.deps[i] = instrDeps{defs: p.Ins[i].Defs(), uses: p.Ins[i].Uses()}
-	}
 	return nil
 }
 
@@ -614,24 +590,23 @@ func (v *Vault) waitOldest(reason sim.StallReason) {
 	v.retire()
 }
 
-// conflictsWith reports whether issuing an instruction with the given
-// defs/uses against in-flight entry e creates a RAW, WAR or WAW hazard.
-func conflictsWith(e *entry, defs, uses []isa.RegRef) bool {
-	for _, d := range e.defs {
-		for _, u := range uses { // RAW
-			if d == u {
+// conflictsWith reports whether issuing an instruction with registers
+// r against in-flight entry e creates a RAW, WAR or WAW hazard.
+func conflictsWith(e *entry, r *isa.Regs) bool {
+	if e.regs.HasDef {
+		d := e.regs.Def
+		for _, u := range r.Use[:r.NUse] { // RAW
+			if u == d {
 				return true
 			}
 		}
-		for _, d2 := range defs { // WAW
-			if d == d2 {
-				return true
-			}
+		if r.HasDef && r.Def == d { // WAW
+			return true
 		}
 	}
-	for _, u := range e.uses {
-		for _, d2 := range defs { // WAR
-			if u == d2 {
+	if r.HasDef {
+		for _, u := range e.regs.Use[:e.regs.NUse] { // WAR
+			if u == r.Def {
 				return true
 			}
 		}
@@ -675,13 +650,12 @@ func (v *Vault) issue(in *isa.Instruction) error {
 	for len(v.inflight) >= v.Cfg.InstQueue {
 		v.waitOldest(sim.StallQueueFull)
 	}
-	d := &v.deps[issuePC]
-	defs, uses := d.defs, d.uses
+	regs := in.Regs()
 	// Issue-time dependency check against the Issued Inst Queue: stall
 	// with pipeline bubbles until the conflicting instructions retire.
 	wait := int64(-1)
 	for _, e := range v.inflight {
-		if conflictsWith(e, defs, uses) {
+		if conflictsWith(e, &regs) {
 			if c := v.resolve(e); c > wait {
 				wait = c
 			}
@@ -789,11 +763,11 @@ func (v *Vault) issue(in *isa.Instruction) error {
 	// Multi-cycle instructions occupy the issued queue until they
 	// complete; bank instructions until their DRAM requests finish.
 	if pend != nil {
-		pend.defs, pend.uses = defs, uses
+		pend.regs = regs
 		v.inflight = append(v.inflight, pend)
 	} else if completes > v.now+1 {
 		e := v.newEntry()
-		e.defs, e.uses, e.completes = defs, uses, completes
+		e.regs, e.completes = regs, completes
 		v.inflight = append(v.inflight, e)
 	}
 	v.now++

@@ -14,24 +14,24 @@ func newTestVault(t *testing.T) *Vault {
 }
 
 func TestConflictsWith(t *testing.T) {
-	d := func(refs ...isa.RegRef) []isa.RegRef { return refs }
-	e := &entry{
-		defs: d(isa.RegRef{Space: isa.SpaceDRF, Index: 1}),
-		uses: d(isa.RegRef{Space: isa.SpaceDRF, Index: 2}),
-	}
+	d := func(i int) isa.RegRef { return isa.RegRef{Space: isa.SpaceDRF, Index: i} }
+	// In flight: d1 = f(d2).
+	e := &entry{regs: isa.Regs{Def: d(1), HasDef: true, Use: [3]isa.RegRef{d(2)}, NUse: 1}}
 	cases := []struct {
-		name       string
-		defs, uses []isa.RegRef
-		want       bool
+		name string
+		regs isa.Regs
+		want bool
 	}{
-		{"RAW", nil, d(isa.RegRef{Space: isa.SpaceDRF, Index: 1}), true},
-		{"WAW", d(isa.RegRef{Space: isa.SpaceDRF, Index: 1}), nil, true},
-		{"WAR", d(isa.RegRef{Space: isa.SpaceDRF, Index: 2}), nil, true},
-		{"independent", d(isa.RegRef{Space: isa.SpaceDRF, Index: 5}), d(isa.RegRef{Space: isa.SpaceDRF, Index: 6}), false},
-		{"different space same index", d(isa.RegRef{Space: isa.SpaceARF, Index: 1}), d(isa.RegRef{Space: isa.SpaceARF, Index: 2}), false},
+		{"RAW", isa.Regs{Use: [3]isa.RegRef{d(1)}, NUse: 1}, true},
+		{"WAW", isa.Regs{Def: d(1), HasDef: true}, true},
+		{"WAR", isa.Regs{Def: d(2), HasDef: true}, true},
+		{"independent", isa.Regs{Def: d(5), HasDef: true, Use: [3]isa.RegRef{d(6)}, NUse: 1}, false},
+		{"different space same index", isa.Regs{Def: isa.RegRef{Space: isa.SpaceARF, Index: 1}, HasDef: true,
+			Use: [3]isa.RegRef{{Space: isa.SpaceARF, Index: 2}}, NUse: 1}, false},
+		{"stale use slot", isa.Regs{Use: [3]isa.RegRef{d(6), d(1)}, NUse: 1}, false},
 	}
 	for _, c := range cases {
-		if got := conflictsWith(e, c.defs, c.uses); got != c.want {
+		if got := conflictsWith(e, &c.regs); got != c.want {
 			t.Errorf("%s: conflictsWith = %v, want %v", c.name, got, c.want)
 		}
 	}

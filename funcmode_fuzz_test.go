@@ -57,17 +57,19 @@ func diffMachines(cyc, fun *Machine) string {
 					return "PGSM"
 				}
 				for pe := 0; pe < cfg.PEsPerPG; pe++ {
-					pc, pf := vc.PE(pg, pe), vf.PE(pg, pe)
-					for i := range pc.AddrRF {
-						if pc.AddrRF[i] != pf.AddrRF[i] {
+					dc, ac := vc.Registers(pg*cfg.PEsPerPG + pe)
+					df, af := vf.Registers(pg*cfg.PEsPerPG + pe)
+					for i := range ac {
+						if ac[i] != af[i] {
 							return "AddrRF"
 						}
 					}
-					for i := range pc.DataRF {
-						if pc.DataRF[i] != pf.DataRF[i] {
+					for i := range dc {
+						if dc[i] != df[i] {
 							return "DataRF"
 						}
 					}
+					pc, pf := vc.PE(pg, pe), vf.PE(pg, pe)
 					bc, err1 := pc.ReadBank(0, fuzzBankBytes)
 					bf, err2 := pf.ReadBank(0, fuzzBankBytes)
 					if err1 != nil || err2 != nil {

@@ -25,70 +25,66 @@ const vecBytes = 4 * isa.VecLanes
 var _ [1]struct{} = [5 - isa.VecLanes]struct{}{}
 
 // LoadVectorFull is LoadVector with every lane selected.
-func (pe *PE) LoadVectorFull(addr uint32, reg int) error {
+func (pe *PE) LoadVectorFull(addr uint32, v *Vector) error {
 	end := uint64(addr) + vecBytes
 	if end > uint64(pe.bankBytes) {
-		return pe.LoadVector(addr, reg, isa.VecMaskAll)
+		return pe.LoadVector(addr, v, isa.VecMaskAll)
 	}
 	bank, err := pe.ensure(int(end))
 	if err != nil {
 		return err
 	}
 	b := (*[vecBytes]byte)(bank[addr:end])
-	d := &pe.DataRF[reg]
-	d[0] = binary.LittleEndian.Uint32(b[0:4])
-	d[1] = binary.LittleEndian.Uint32(b[4:8])
-	d[2] = binary.LittleEndian.Uint32(b[8:12])
-	d[3] = binary.LittleEndian.Uint32(b[12:16])
+	v[0] = binary.LittleEndian.Uint32(b[0:4])
+	v[1] = binary.LittleEndian.Uint32(b[4:8])
+	v[2] = binary.LittleEndian.Uint32(b[8:12])
+	v[3] = binary.LittleEndian.Uint32(b[12:16])
 	return nil
 }
 
 // StoreVectorFull is StoreVector with every lane selected.
-func (pe *PE) StoreVectorFull(addr uint32, reg int) error {
+func (pe *PE) StoreVectorFull(addr uint32, v *Vector) error {
 	end := uint64(addr) + vecBytes
 	if end > uint64(pe.bankBytes) {
-		return pe.StoreVector(addr, reg, isa.VecMaskAll)
+		return pe.StoreVector(addr, v, isa.VecMaskAll)
 	}
 	bank, err := pe.ensure(int(end))
 	if err != nil {
 		return err
 	}
 	b := (*[vecBytes]byte)(bank[addr:end])
-	d := &pe.DataRF[reg]
-	binary.LittleEndian.PutUint32(b[0:4], d[0])
-	binary.LittleEndian.PutUint32(b[4:8], d[1])
-	binary.LittleEndian.PutUint32(b[8:12], d[2])
-	binary.LittleEndian.PutUint32(b[12:16], d[3])
+	binary.LittleEndian.PutUint32(b[0:4], v[0])
+	binary.LittleEndian.PutUint32(b[4:8], v[1])
+	binary.LittleEndian.PutUint32(b[8:12], v[2])
+	binary.LittleEndian.PutUint32(b[12:16], v[3])
 	return nil
 }
 
 // VectorToPGSMFull is VectorToPGSM with every lane selected.
-func (pg *PG) VectorToPGSMFull(pe *PE, addr uint32, reg int) error {
+func (pg *PG) VectorToPGSMFull(addr uint32, v *Vector) error {
 	end := uint64(addr) + vecBytes
 	if end > uint64(len(pg.PGSM)) {
-		return pg.VectorToPGSM(pe, addr, reg, isa.VecMaskAll)
+		return pg.VectorToPGSM(addr, v, isa.VecMaskAll)
 	}
 	b := (*[vecBytes]byte)(pg.PGSM[addr:end])
-	d := &pe.DataRF[reg]
-	binary.LittleEndian.PutUint32(b[0:4], d[0])
-	binary.LittleEndian.PutUint32(b[4:8], d[1])
-	binary.LittleEndian.PutUint32(b[8:12], d[2])
-	binary.LittleEndian.PutUint32(b[12:16], d[3])
+	binary.LittleEndian.PutUint32(b[0:4], v[0])
+	binary.LittleEndian.PutUint32(b[4:8], v[1])
+	binary.LittleEndian.PutUint32(b[8:12], v[2])
+	binary.LittleEndian.PutUint32(b[12:16], v[3])
 	return nil
 }
 
 // VectorFromPGSMFull is VectorFromPGSM with every lane selected.
-func (pg *PG) VectorFromPGSMFull(pe *PE, addr uint32, reg int) error {
+func (pg *PG) VectorFromPGSMFull(addr uint32, v *Vector) error {
 	end := uint64(addr) + vecBytes
 	if end > uint64(len(pg.PGSM)) {
-		return pg.VectorFromPGSM(pe, addr, reg, isa.VecMaskAll)
+		return pg.VectorFromPGSM(addr, v, isa.VecMaskAll)
 	}
 	b := (*[vecBytes]byte)(pg.PGSM[addr:end])
-	d := &pe.DataRF[reg]
-	d[0] = binary.LittleEndian.Uint32(b[0:4])
-	d[1] = binary.LittleEndian.Uint32(b[4:8])
-	d[2] = binary.LittleEndian.Uint32(b[8:12])
-	d[3] = binary.LittleEndian.Uint32(b[12:16])
+	v[0] = binary.LittleEndian.Uint32(b[0:4])
+	v[1] = binary.LittleEndian.Uint32(b[4:8])
+	v[2] = binary.LittleEndian.Uint32(b[8:12])
+	v[3] = binary.LittleEndian.Uint32(b[12:16])
 	return nil
 }
 

@@ -19,8 +19,8 @@ import (
 func pePair(t *testing.T) (*PG, *PE, *PG, *PE) {
 	t.Helper()
 	cfg := sim.TestTiny()
-	pgA := NewPG(&cfg, 0, 0, 0)
-	pgB := NewPG(&cfg, 0, 0, 0)
+	pgA := NewPG(&cfg, 0)
+	pgB := NewPG(&cfg, 0)
 	peA, peB := pgA.PEs[0], pgB.PEs[0]
 	for _, pe := range []*PE{peA, peB} {
 		var buf [1024]byte
@@ -29,11 +29,6 @@ func pePair(t *testing.T) (*PG, *PE, *PG, *PE) {
 		}
 		if err := pe.WriteBank(0, buf[:]); err != nil {
 			t.Fatal(err)
-		}
-		for r := range pe.DataRF {
-			for l := range pe.DataRF[r] {
-				pe.DataRF[r][l] = uint32(r<<8 | l | 0x5A5A0000)
-			}
 		}
 	}
 	for _, pg := range []*PG{pgA, pgB} {
@@ -52,15 +47,13 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// comparePE fails where two PEs' register files or low/high bank bytes
-// differ.
+// seedVector is the register contents each side of a mover test starts
+// from.
+func seedVector() Vector { return Vector{0x5A5A0300, 0x5A5A0301, 0x5A5A0302, 0x5A5A0303} }
+
+// comparePE fails where two PEs' low bank bytes differ.
 func comparePE(t *testing.T, label string, a, b *PE) {
 	t.Helper()
-	for r := range a.DataRF {
-		if a.DataRF[r] != b.DataRF[r] {
-			t.Fatalf("%s: DataRF[%d] diverged: %v vs %v", label, r, a.DataRF[r], b.DataRF[r])
-		}
-	}
 	ba, err := a.ReadBank(0, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +73,14 @@ func TestLoadVectorFullMatchesGeneric(t *testing.T) {
 	addrs := []uint32{0, 4, 20, 100, bank - 16, bank - 15, bank - 1, 0xFFFFFFF0, 0xFFFFFFFC}
 	for _, addr := range addrs {
 		_, peA, _, peB := pePair(t)
-		errGen := peA.LoadVector(addr, 3, isa.VecMaskAll)
-		errFull := peB.LoadVectorFull(addr, 3)
+		va, vb := seedVector(), seedVector()
+		errGen := peA.LoadVector(addr, &va, isa.VecMaskAll)
+		errFull := peB.LoadVectorFull(addr, &vb)
 		if errText(errGen) != errText(errFull) {
 			t.Fatalf("addr %#x: generic err %q, full err %q", addr, errText(errGen), errText(errFull))
+		}
+		if va != vb {
+			t.Fatalf("addr %#x: vectors diverged: %v vs %v", addr, va, vb)
 		}
 		comparePE(t, fmt.Sprintf("load addr %#x", addr), peA, peB)
 	}
@@ -95,8 +92,9 @@ func TestStoreVectorFullMatchesGeneric(t *testing.T) {
 	addrs := []uint32{0, 8, 36, bank - 16, bank - 15, 0xFFFFFFF4}
 	for _, addr := range addrs {
 		_, peA, _, peB := pePair(t)
-		errGen := peA.StoreVector(addr, 5, isa.VecMaskAll)
-		errFull := peB.StoreVectorFull(addr, 5)
+		va, vb := seedVector(), seedVector()
+		errGen := peA.StoreVector(addr, &va, isa.VecMaskAll)
+		errFull := peB.StoreVectorFull(addr, &vb)
 		if errText(errGen) != errText(errFull) {
 			t.Fatalf("addr %#x: generic err %q, full err %q", addr, errText(errGen), errText(errFull))
 		}
@@ -119,18 +117,22 @@ func TestVectorPGSMFullMatchesGeneric(t *testing.T) {
 	addrs := []uint32{0, 12, sz - 16, sz - 15, sz, 0xFFFFFFF8}
 	for _, addr := range addrs {
 		pgA, peA, pgB, peB := pePair(t)
-		errGen := pgA.VectorToPGSM(peA, addr, 2, isa.VecMaskAll)
-		errFull := pgB.VectorToPGSMFull(peB, addr, 2)
+		va, vb := seedVector(), seedVector()
+		errGen := pgA.VectorToPGSM(addr, &va, isa.VecMaskAll)
+		errFull := pgB.VectorToPGSMFull(addr, &vb)
 		if errText(errGen) != errText(errFull) {
 			t.Fatalf("to-PGSM addr %#x: generic err %q, full err %q", addr, errText(errGen), errText(errFull))
 		}
 		if !bytes.Equal(pgA.PGSM, pgB.PGSM) {
 			t.Fatalf("to-PGSM addr %#x: PGSM bytes diverged", addr)
 		}
-		errGen = pgA.VectorFromPGSM(peA, addr, 7, isa.VecMaskAll)
-		errFull = pgB.VectorFromPGSMFull(peB, addr, 7)
+		errGen = pgA.VectorFromPGSM(addr, &va, isa.VecMaskAll)
+		errFull = pgB.VectorFromPGSMFull(addr, &vb)
 		if errText(errGen) != errText(errFull) {
 			t.Fatalf("from-PGSM addr %#x: generic err %q, full err %q", addr, errText(errGen), errText(errFull))
+		}
+		if va != vb {
+			t.Fatalf("from-PGSM addr %#x: vectors diverged: %v vs %v", addr, va, vb)
 		}
 		comparePE(t, fmt.Sprintf("from-PGSM addr %#x", addr), peA, peB)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ipim/internal/isa"
 	"ipim/internal/sim"
 )
 
@@ -14,22 +13,10 @@ func testCfg() sim.Config { return sim.TestTiny() }
 func newTestPE(t *testing.T) *PE {
 	t.Helper()
 	cfg := testCfg()
-	return NewPE(&cfg, 0, 1, 1, 1)
+	return NewPE(&cfg)
 }
 
 func f32(v float32) uint32 { return math.Float32bits(v) }
-
-func TestNewPEInitializesIDRegisters(t *testing.T) {
-	cfg := testCfg()
-	pe := NewPE(&cfg, 3, 7, 1, 0)
-	if pe.AddrRF[isa.ARFPeID] != 0 || pe.AddrRF[isa.ARFPgID] != 1 ||
-		pe.AddrRF[isa.ARFVaultID] != 7 || pe.AddrRF[isa.ARFChipID] != 3 {
-		t.Fatalf("ID registers wrong: %v", pe.AddrRF[:4])
-	}
-	if pe.Index != 1*cfg.PEsPerPG+0 {
-		t.Fatalf("Index = %d", pe.Index)
-	}
-}
 
 func TestBankReadWriteRoundTrip(t *testing.T) {
 	pe := newTestPE(t)
@@ -70,144 +57,32 @@ func TestBankOutOfCapacityErrors(t *testing.T) {
 
 func TestLoadStoreVector(t *testing.T) {
 	pe := newTestPE(t)
-	pe.DataRF[3] = Vector{f32(1), f32(2), f32(3), f32(4)}
-	if err := pe.StoreVector(0x40, 3, 0xF); err != nil {
+	src := Vector{f32(1), f32(2), f32(3), f32(4)}
+	var dst Vector
+	if err := pe.StoreVector(0x40, &src, 0xF); err != nil {
 		t.Fatal(err)
 	}
-	if err := pe.LoadVector(0x40, 5, 0xF); err != nil {
+	if err := pe.LoadVector(0x40, &dst, 0xF); err != nil {
 		t.Fatal(err)
 	}
-	if pe.DataRF[5] != pe.DataRF[3] {
-		t.Fatalf("vector round trip: %v vs %v", pe.DataRF[5], pe.DataRF[3])
-	}
-}
-
-func TestCompVectorVector(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[0] = Vector{f32(1), f32(2), f32(3), f32(4)}
-	pe.DataRF[1] = Vector{f32(10), f32(20), f32(30), f32(40)}
-	in := isa.New(isa.OpComp)
-	in.ALU = isa.FAdd
-	in.Dst, in.Src1, in.Src2 = 2, 0, 1
-	pe.Comp(&in)
-	want := Vector{f32(11), f32(22), f32(33), f32(44)}
-	if pe.DataRF[2] != want {
-		t.Fatalf("comp fadd vv = %v, want %v", pe.DataRF[2], want)
-	}
-}
-
-func TestCompScalarVectorBroadcastsLane0(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[0] = Vector{f32(1), f32(2), f32(3), f32(4)}
-	pe.DataRF[1] = Vector{f32(100), f32(999), f32(999), f32(999)}
-	in := isa.New(isa.OpComp)
-	in.ALU = isa.FMul
-	in.Mode = isa.ModeVS
-	in.Dst, in.Src1, in.Src2 = 2, 0, 1
-	pe.Comp(&in)
-	want := Vector{f32(100), f32(200), f32(300), f32(400)}
-	if pe.DataRF[2] != want {
-		t.Fatalf("comp fmul vs = %v, want %v", pe.DataRF[2], want)
-	}
-}
-
-func TestCompVecMaskLeavesLanesUntouched(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[0] = Vector{f32(1), f32(1), f32(1), f32(1)}
-	pe.DataRF[1] = Vector{f32(2), f32(2), f32(2), f32(2)}
-	pe.DataRF[2] = Vector{f32(7), f32(7), f32(7), f32(7)}
-	in := isa.New(isa.OpComp)
-	in.ALU = isa.FAdd
-	in.Dst, in.Src1, in.Src2 = 2, 0, 1
-	in.VecMask = 0b0101
-	pe.Comp(&in)
-	want := Vector{f32(3), f32(7), f32(3), f32(7)}
-	if pe.DataRF[2] != want {
-		t.Fatalf("masked comp = %v, want %v", pe.DataRF[2], want)
-	}
-}
-
-func TestCompMacReadsAccumulator(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[0] = Vector{f32(2), f32(2), f32(2), f32(2)}
-	pe.DataRF[1] = Vector{f32(3), f32(3), f32(3), f32(3)}
-	pe.DataRF[2] = Vector{f32(1), f32(2), f32(3), f32(4)}
-	in := isa.New(isa.OpComp)
-	in.ALU = isa.FMac
-	in.Dst, in.Src1, in.Src2 = 2, 0, 1
-	pe.Comp(&in)
-	want := Vector{f32(7), f32(8), f32(9), f32(10)}
-	if pe.DataRF[2] != want {
-		t.Fatalf("fmac = %v, want %v", pe.DataRF[2], want)
-	}
-}
-
-func TestCalcARFImmediateAndRegister(t *testing.T) {
-	pe := newTestPE(t)
-	pe.AddrRF[4] = 100
-	in := isa.New(isa.OpCalcARF)
-	in.ALU = isa.IAdd
-	in.Dst, in.Src1 = 5, 4
-	in.HasImm, in.Imm = true, 28
-	pe.CalcARF(&in)
-	if pe.AddrRF[5] != 128 {
-		t.Fatalf("calc_arf imm = %d, want 128", pe.AddrRF[5])
-	}
-	in2 := isa.New(isa.OpCalcARF)
-	in2.ALU = isa.IMul
-	in2.Dst, in2.Src1, in2.Src2 = 6, 5, 5
-	pe.CalcARF(&in2)
-	if pe.AddrRF[6] != 128*128 {
-		t.Fatalf("calc_arf reg = %d", pe.AddrRF[6])
-	}
-}
-
-func TestMovBetweenRegisterFiles(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[2] = Vector{11, 22, 33, 44}
-	pe.MovToARF(7, 2, 2)
-	if pe.AddrRF[7] != 33 {
-		t.Fatalf("MovToARF lane 2 = %d, want 33", pe.AddrRF[7])
-	}
-	pe.MovToDRF(3, 7, 1)
-	if pe.DataRF[3][1] != 33 {
-		t.Fatalf("MovToDRF = %v", pe.DataRF[3])
-	}
-}
-
-func TestResetZeroesEntry(t *testing.T) {
-	pe := newTestPE(t)
-	pe.DataRF[2] = Vector{1, 2, 3, 4}
-	pe.Reset(2)
-	if pe.DataRF[2] != (Vector{}) {
-		t.Fatalf("Reset left %v", pe.DataRF[2])
-	}
-}
-
-func TestEffectiveAddr(t *testing.T) {
-	pe := newTestPE(t)
-	pe.AddrRF[9] = 0x1234
-	if pe.EffectiveAddr(0x40, false) != 0x40 {
-		t.Fatal("direct address modified")
-	}
-	if pe.EffectiveAddr(9, true) != 0x1234 {
-		t.Fatal("indirect address not resolved via AddrRF")
+	if dst != src {
+		t.Fatalf("vector round trip: %v vs %v", dst, src)
 	}
 }
 
 func TestPGSMRoundTripAndBounds(t *testing.T) {
 	cfg := testCfg()
-	pg := NewPG(&cfg, 0, 0, 0)
-	pe := pg.PEs[0]
-	pe.DataRF[1] = Vector{5, 6, 7, 8}
-	if err := pg.VectorToPGSM(pe, 0x20, 1, 0xF); err != nil {
+	pg := NewPG(&cfg, 0)
+	src := Vector{5, 6, 7, 8}
+	var dst Vector
+	if err := pg.VectorToPGSM(0x20, &src, 0xF); err != nil {
 		t.Fatal(err)
 	}
-	if err := pg.VectorFromPGSM(pg.PEs[1], 0x20, 2, 0xF); err != nil {
+	if err := pg.VectorFromPGSM(0x20, &dst, 0xF); err != nil {
 		t.Fatal(err)
 	}
-	if pg.PEs[1].DataRF[2] != (Vector{5, 6, 7, 8}) {
-		t.Fatalf("PGSM sharing between PEs failed: %v", pg.PEs[1].DataRF[2])
+	if dst != src {
+		t.Fatalf("PGSM round trip: %v", dst)
 	}
 	if err := pg.WritePGSM(uint32(cfg.PGSMBytes-4), make([]byte, 16)); err == nil {
 		t.Fatal("PGSM overflow write accepted")
@@ -219,15 +94,12 @@ func TestPGSMRoundTripAndBounds(t *testing.T) {
 
 func TestNewPGShape(t *testing.T) {
 	cfg := testCfg()
-	pg := NewPG(&cfg, 0, 0, 1)
+	pg := NewPG(&cfg, 1)
 	if len(pg.PEs) != cfg.PEsPerPG {
 		t.Fatalf("PG has %d PEs, want %d", len(pg.PEs), cfg.PEsPerPG)
 	}
 	if len(pg.PGSM) != cfg.PGSMBytes {
 		t.Fatalf("PGSM %d bytes, want %d", len(pg.PGSM), cfg.PGSMBytes)
-	}
-	if pg.PEs[1].Index != 1*cfg.PEsPerPG+1 {
-		t.Fatalf("PE index = %d", pg.PEs[1].Index)
 	}
 }
 
@@ -237,14 +109,15 @@ func TestVectorBankRoundTripQuick(t *testing.T) {
 	pe := newTestPE(t)
 	f := func(a, b, c, d uint32, addrSeed uint16) bool {
 		addr := (uint32(addrSeed) * 16) % uint32(testCfg().BankBytes-16)
-		pe.DataRF[1] = Vector{a, b, c, d}
-		if err := pe.StoreVector(addr, 1, 0xF); err != nil {
+		src := Vector{a, b, c, d}
+		var dst Vector
+		if err := pe.StoreVector(addr, &src, 0xF); err != nil {
 			return false
 		}
-		if err := pe.LoadVector(addr, 2, 0xF); err != nil {
+		if err := pe.LoadVector(addr, &dst, 0xF); err != nil {
 			return false
 		}
-		return pe.DataRF[2] == pe.DataRF[1]
+		return dst == src
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

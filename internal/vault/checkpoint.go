@@ -7,7 +7,9 @@ package vault
 // core registers and memories, the clock and TSV timeline, the I$ tags
 // (timing-relevant: a cold set costs a refill bubble), the fault
 // decision-stream positions, the run's Stats so far, and the per-PG/PE
-// memories and controller timing images.
+// memories, registers and controller timing images. The register slab
+// is written PE by PE (each PE's DataRF, then its AddrRF, then its
+// bank), the order of the format's per-PE records.
 //
 // The program itself is serialized once machine-wide (vaults often
 // share one *isa.Program); the vault image carries an index into the
@@ -69,14 +71,18 @@ func (v *Vault) EncodeCkpt(e *ckpt.Enc, progIndex int) {
 	for _, pg := range v.PGs {
 		e.Bytes32(pg.PGSM)
 		pg.Ctrl.EncodeCkpt(e)
-		for _, pe := range pg.PEs {
-			e.U32(uint32(len(pe.DataRF)))
-			for _, vec := range pe.DataRF {
-				for _, lane := range vec {
+		for peID, pe := range pg.PEs {
+			p := pg.ID*v.Cfg.PEsPerPG + peID
+			e.U32(uint32(v.Cfg.DataRFEntries))
+			for r := 0; r < v.Cfg.DataRFEntries; r++ {
+				for _, lane := range vec(v.dreg(r), p) {
 					e.U32(lane)
 				}
 			}
-			e.I32s(pe.AddrRF)
+			e.U32(uint32(v.Cfg.AddrRFEntries)) // as ckpt.Enc.I32s
+			for r := 0; r < v.Cfg.AddrRFEntries; r++ {
+				e.U32(v.areg(r)[p])
+			}
 			e.Bytes32(pe.BankPrefix())
 		}
 	}
@@ -149,14 +155,16 @@ func (v *Vault) DecodeCkpt(d *ckpt.Dec, progs []*isa.Program) error {
 		if err := pg.Ctrl.DecodeCkpt(d); err != nil {
 			return err
 		}
-		for _, pe := range pg.PEs {
+		for peID, pe := range pg.PEs {
+			p := pg.ID*v.Cfg.PEsPerPG + peID
 			nrf := int(d.U32())
-			if d.Err() == nil && nrf != len(pe.DataRF) {
-				return fmt.Errorf("vault: checkpoint has %d DataRF entries, config has %d: %w", nrf, len(pe.DataRF), ckpt.ErrCorrupt)
+			if d.Err() == nil && nrf != v.Cfg.DataRFEntries {
+				return fmt.Errorf("vault: checkpoint has %d DataRF entries, config has %d: %w", nrf, v.Cfg.DataRFEntries, ckpt.ErrCorrupt)
 			}
-			for r := range pe.DataRF {
-				for l := range pe.DataRF[r] {
-					pe.DataRF[r][l] = d.U32()
+			for r := 0; r < v.Cfg.DataRFEntries; r++ {
+				lanes := vec(v.dreg(r), p)
+				for l := range lanes {
+					lanes[l] = d.U32()
 				}
 			}
 			addrRF := d.I32s()
@@ -164,13 +172,15 @@ func (v *Vault) DecodeCkpt(d *ckpt.Dec, progs []*isa.Program) error {
 			if err := d.Err(); err != nil {
 				return err
 			}
-			if len(addrRF) != len(pe.AddrRF) {
-				return fmt.Errorf("vault: checkpoint has %d AddrRF entries, config has %d: %w", len(addrRF), len(pe.AddrRF), ckpt.ErrCorrupt)
+			if len(addrRF) != v.Cfg.AddrRFEntries {
+				return fmt.Errorf("vault: checkpoint has %d AddrRF entries, config has %d: %w", len(addrRF), v.Cfg.AddrRFEntries, ckpt.ErrCorrupt)
 			}
 			if len(bank) > v.Cfg.BankBytes {
 				return fmt.Errorf("vault: checkpoint has %d-byte bank prefix, config bank is %d bytes: %w", len(bank), v.Cfg.BankBytes, ckpt.ErrCorrupt)
 			}
-			copy(pe.AddrRF, addrRF)
+			for r, x := range addrRF {
+				v.areg(r)[p] = uint32(x)
+			}
 			pe.RestoreBank(bank)
 		}
 	}

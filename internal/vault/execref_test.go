@@ -4,13 +4,13 @@ package vault
 // functional mode both apply comp and calc_arf through
 // execFuncComp / execFuncCalcARF, so a whole-program differential
 // between the modes compares those kernels with themselves. These tests
-// compare them instead with the plain per-PE interpreters
-// (engine.PE.Comp → isa.EvalLane, engine.PE.CalcARF → isa.EvalI) run on
-// a second vault holding identical register files.
+// compare them instead with a plain reference that evaluates every
+// selected lane of every selected PE on its own through isa.EvalLane
+// (comp) or isa.EvalI (calc_arf), run on a second vault holding an
+// identical register slab.
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"ipim/internal/isa"
@@ -35,38 +35,54 @@ func refVaults(nPE int, seed uint32) (got, ref *Vault) {
 func seedRegs(got, ref *Vault, seed uint32) {
 	u := seed | 1
 	next := func() uint32 { u = u*1664525 + 1013904223; return u }
-	for i, pe := range got.peFlat {
-		rpe := ref.peFlat[i]
-		for r := range pe.DataRF {
-			for l := range pe.DataRF[r] {
+	for p := range got.peList {
+		for r := 0; r < got.Cfg.DataRFEntries; r++ {
+			for l := 0; l < isa.VecLanes; l++ {
 				x := next()
 				if x&0x100 == 0 {
 					x = kernelPatterns[int(x>>9)%len(kernelPatterns)]
 				}
-				pe.DataRF[r][l], rpe.DataRF[r][l] = x, x
+				vec(got.dreg(r), p)[l], vec(ref.dreg(r), p)[l] = x, x
 			}
 		}
-		for r := range pe.AddrRF {
+		for r := 0; r < got.Cfg.AddrRFEntries; r++ {
 			x := int32(next())
 			if r%2 == 0 {
 				x %= 64
 			}
-			pe.AddrRF[r], rpe.AddrRF[r] = x, x
+			got.areg(r)[p], ref.areg(r)[p] = uint32(x), uint32(x)
 		}
 	}
 }
 
-// applyRef executes in on ref's masked PEs through the per-PE
-// interpreters.
+// applyRef executes in on ref's masked PEs one PE and one lane at a
+// time: a comp through isa.EvalLane, with every operand vector read
+// before any lane is written, and a calc_arf through isa.EvalI.
 func applyRef(ref *Vault, in *isa.Instruction) {
-	for i, pe := range ref.peFlat {
-		if in.SimbMask&(1<<uint(i)) == 0 {
+	for p := range ref.peList {
+		if in.SimbMask&(1<<uint(p)) == 0 {
 			continue
 		}
-		if in.Op == isa.OpComp {
-			pe.Comp(in)
-		} else {
-			pe.CalcARF(in)
+		if in.Op == isa.OpCalcARF {
+			a, acc := int32(ref.areg(in.Src1)[p]), int32(ref.areg(in.Dst)[p])
+			b := int32(in.Imm)
+			if !in.HasImm {
+				b = int32(ref.areg(in.Src2)[p])
+			}
+			ref.areg(in.Dst)[p] = uint32(isa.EvalI(in.ALU, a, b, acc))
+			continue
+		}
+		src1, src2 := *vec(ref.dreg(in.Src1), p), *vec(ref.dreg(in.Src2), p)
+		dst := vec(ref.dreg(in.Dst), p)
+		for l := 0; l < isa.VecLanes; l++ {
+			if in.VecMask&(1<<uint(l)) == 0 {
+				continue
+			}
+			b := src2[l]
+			if in.Mode == isa.ModeVS {
+				b = src2[0] // scalar-vector: lane 0 broadcast
+			}
+			dst[l] = isa.EvalLane(in.ALU, src1[l], b, dst[l])
 		}
 	}
 }
@@ -81,18 +97,19 @@ func applyKernel(got *Vault, in *isa.Instruction) {
 	}
 }
 
-// regsDiff describes the first register-file difference between the
-// two vaults, or returns "" when they agree.
+// regsDiff describes the first register difference between the two
+// vaults, or returns "" when they agree.
 func regsDiff(got, ref *Vault) string {
-	for i, pe := range got.peFlat {
-		rpe := ref.peFlat[i]
-		for r := range pe.DataRF {
-			if pe.DataRF[r] != rpe.DataRF[r] {
-				return fmt.Sprintf("PE %d d%d: kernel %#x, reference %#x", i, r, pe.DataRF[r], rpe.DataRF[r])
+	for p := range got.peList {
+		for r := 0; r < got.Cfg.DataRFEntries; r++ {
+			if g, w := *vec(got.dreg(r), p), *vec(ref.dreg(r), p); g != w {
+				return fmt.Sprintf("PE %d d%d: kernel %#x, reference %#x", p, r, g, w)
 			}
 		}
-		if !reflect.DeepEqual(pe.AddrRF, rpe.AddrRF) {
-			return fmt.Sprintf("PE %d AddrRF: kernel %v, reference %v", i, pe.AddrRF, rpe.AddrRF)
+		for r := 0; r < got.Cfg.AddrRFEntries; r++ {
+			if g, w := got.areg(r)[p], ref.areg(r)[p]; g != w {
+				return fmt.Sprintf("PE %d a%d: kernel %d, reference %d", p, r, int32(g), int32(w))
+			}
 		}
 	}
 	return ""
@@ -107,7 +124,7 @@ func refSimbMasks(nPE int) []uint64 {
 }
 
 // TestExecFuncCompVsPEComp sweeps comp and calc_arf through the shared
-// kernels and the per-PE interpreters on 32- and 64-PE vaults.
+// kernels and the per-PE, per-lane reference on 32- and 64-PE vaults.
 func TestExecFuncCompVsPEComp(t *testing.T) {
 	type regs struct{ dst, s1, s2 int }
 	aliases := []regs{{2, 0, 1}, {0, 0, 1}, {1, 0, 1}, {3, 3, 3}}
@@ -134,7 +151,7 @@ func TestExecFuncCompVsPEComp(t *testing.T) {
 				}
 			}
 		}
-		// calc_arf: the iadd-immediate fused loop and the generic path.
+		// calc_arf, with an immediate and with a register operand.
 		for op := isa.ALUOp(1); op.ValidForComp(); op++ {
 			if !op.ValidForCalc() {
 				continue
@@ -161,7 +178,7 @@ func TestExecFuncCompVsPEComp(t *testing.T) {
 
 // FuzzExecFuncVsEvalLane drives one comp or calc_arf instruction with
 // fuzzer-chosen op, mode, registers, masks and register contents through
-// the shared kernels and the per-PE reference interpreters.
+// the shared kernels and the per-PE, per-lane reference.
 func FuzzExecFuncVsEvalLane(f *testing.F) {
 	f.Add(uint8(isa.FAdd), false, uint8(2), uint8(0), uint8(1), uint8(0xF), ^uint64(0), false, uint32(1), false, int32(0))
 	f.Add(uint8(isa.FMac), true, uint8(1), uint8(1), uint8(1), uint8(0xF), uint64(0xFFFFFFFF), true, uint32(2), false, int32(0))

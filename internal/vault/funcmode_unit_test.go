@@ -50,7 +50,7 @@ var kernelPatterns = []uint32{
 func TestCompKernelsBitExact(t *testing.T) {
 	n := len(kernelPatterns)
 	for op := isa.ALUOp(1); op.ValidForComp(); op++ {
-		k := compKernelFor(op)
+		k := compKernels[op]
 		if k == nil {
 			t.Fatalf("comp op %v has no functional kernel", op)
 		}
@@ -63,7 +63,7 @@ func TestCompKernelsBitExact(t *testing.T) {
 					acc[l] = kernelPatterns[(i+j+l)%n]
 				}
 				d = acc
-				k(&d, &a, &b)
+				k(d[:], a[:], b[:])
 				for l := 0; l < isa.VecLanes; l++ {
 					want := isa.EvalLane(op, a[l], b[l], acc[l])
 					if d[l] != want {
@@ -74,11 +74,11 @@ func TestCompKernelsBitExact(t *testing.T) {
 			}
 		}
 	}
-	if compKernelFor(isa.ALUInvalid) != nil {
+	if compKernels[isa.ALUInvalid] != nil {
 		t.Fatal("kernel table maps the invalid op")
 	}
-	if compKernelFor(isa.ALUOp(250)) != nil {
-		t.Fatal("kernel table maps an out-of-range op")
+	if len(compKernels) != isa.NumALUOps+1 {
+		t.Fatalf("kernel table has %d entries for %d ops", len(compKernels), isa.NumALUOps)
 	}
 }
 
@@ -95,33 +95,33 @@ func assembleProg(t *testing.T, src string) *isa.Program {
 	return p
 }
 
-// seedArch fills a fresh vault's architectural state deterministically:
-// DataRF lanes from the adversarial pattern pool, spare AddrRF entries
-// with small integers, a4..a7 with aligned bank/PGSM addresses for
-// indirect tests, the low bank bytes, and the low VSM bytes. The same
-// sequence lands on every vault it is applied to.
+// seedArch fills a loaded vault's architectural state
+// deterministically: DataRF lanes from the adversarial pattern pool,
+// spare AddrRF entries with small integers, a4..a7 with aligned
+// bank/PGSM addresses for indirect tests, the low bank bytes, and the
+// low VSM bytes. The same sequence lands on every vault it is applied
+// to.
 func seedArch(v *Vault) {
 	u := uint32(0x9E3779B9)
 	next := func() uint32 { u = u*1664525 + 1013904223; return u }
-	for _, pg := range v.PGs {
-		for _, pe := range pg.PEs {
-			for r := range pe.DataRF {
-				for l := range pe.DataRF[r] {
-					pe.DataRF[r][l] = kernelPatterns[int(next()>>8)%len(kernelPatterns)]
-				}
+	for p, slot := range v.peList {
+		for r := 0; r < v.Cfg.DataRFEntries; r++ {
+			lanes := vec(v.dreg(r), p)
+			for l := range lanes {
+				lanes[l] = kernelPatterns[int(next()>>8)%len(kernelPatterns)]
 			}
-			for r := 8; r < len(pe.AddrRF); r++ {
-				pe.AddrRF[r] = int32(next() % 1024)
-			}
-			pe.AddrRF[4], pe.AddrRF[5] = 0x40, 0x80
-			pe.AddrRF[6], pe.AddrRF[7] = 0x100, 0x30
-			var buf [512]byte
-			for i := range buf {
-				buf[i] = byte(next() >> 16)
-			}
-			if err := pe.WriteBank(0, buf[:]); err != nil {
-				panic(err)
-			}
+		}
+		for r := 8; r < v.Cfg.AddrRFEntries; r++ {
+			v.areg(r)[p] = next() % 1024
+		}
+		v.areg(4)[p], v.areg(5)[p] = 0x40, 0x80
+		v.areg(6)[p], v.areg(7)[p] = 0x100, 0x30
+		var buf [512]byte
+		for i := range buf {
+			buf[i] = byte(next() >> 16)
+		}
+		if err := slot.pe.WriteBank(0, buf[:]); err != nil {
+			panic(err)
 		}
 	}
 	for i := 0; i < 256; i++ {
@@ -129,15 +129,15 @@ func seedArch(v *Vault) {
 	}
 }
 
-// runVaultMode runs p to completion on a fresh seeded vault in the given
-// mode and returns the vault.
+// runVaultMode runs p to completion on a fresh vault, seeded after Load
+// (which clears the registers), in the given mode and returns the vault.
 func runVaultMode(t *testing.T, cfg *sim.Config, p *isa.Program, mode sim.Mode) *Vault {
 	t.Helper()
 	v := New(cfg, 0, 0, nil)
-	seedArch(v)
 	if err := v.Load(p); err != nil {
 		t.Fatal(err)
 	}
+	seedArch(v)
 	v.BeginRun(sim.RunOptions{Mode: mode}, nil)
 	defer v.EndRun()
 	for {
@@ -152,11 +152,17 @@ func runVaultMode(t *testing.T, cfg *sim.Config, p *isa.Program, mode sim.Mode) 
 }
 
 // compareArch fails the test wherever two vaults' architectural state
-// (CRF, per-PE register files, bank bytes, PGSM, VSM) differs.
+// (CRF, register slab, bank bytes, PGSM, VSM) differs.
 func compareArch(t *testing.T, vc, vf *Vault) {
 	t.Helper()
 	if !reflect.DeepEqual(vc.CRF, vf.CRF) {
 		t.Errorf("CRF diverged:\n cycle %v\n func  %v", vc.CRF, vf.CRF)
+	}
+	if !reflect.DeepEqual(vc.drf, vf.drf) {
+		t.Error("DataRF diverged")
+	}
+	if !reflect.DeepEqual(vc.arf, vf.arf) {
+		t.Error("AddrRF diverged")
 	}
 	if !bytes.Equal(vc.VSM, vf.VSM) {
 		t.Error("VSM bytes diverged")
@@ -167,12 +173,6 @@ func compareArch(t *testing.T, vc, vf *Vault) {
 		}
 		for pi := range vc.PGs[gi].PEs {
 			cpe, fpe := vc.PGs[gi].PEs[pi], vf.PGs[gi].PEs[pi]
-			if !reflect.DeepEqual(cpe.DataRF, fpe.DataRF) {
-				t.Errorf("PE %d/%d DataRF diverged", gi, pi)
-			}
-			if !reflect.DeepEqual(cpe.AddrRF, fpe.AddrRF) {
-				t.Errorf("PE %d/%d AddrRF diverged", gi, pi)
-			}
 			cb, err := cpe.ReadBank(0, 0x400)
 			if err != nil {
 				t.Fatal(err)
@@ -226,15 +226,14 @@ func TestFunctionalCompSweepVSFull(t *testing.T) {
 }
 
 func TestFunctionalCompSweepPartialSimbMask(t *testing.T) {
-	// Full vector mask but only PEs 1 and 2 selected: the fused loops'
-	// all-PEs precondition fails and the kernel loop runs masked.
+	// Full vector mask but only PEs 1 and 2 selected: the kernel writes
+	// scratch and only the selected PEs' lanes are copied back.
 	diffSrc(t, compSweepSrc("vv", "vm=0xf, sm=0x6"))
 	diffSrc(t, compSweepSrc("vs", "vm=0xf, sm=0x6"))
 }
 
 func TestFunctionalCompSweepPartialVecMask(t *testing.T) {
-	// Partial vector mask: the functional executor must fall back to the
-	// generic per-PE interpreter.
+	// Partial vector mask: only the selected lanes are copied back.
 	diffSrc(t, compSweepSrc("vv", "vm=0x5, sm=*"))
 	diffSrc(t, compSweepSrc("vs", "vm=0xa, sm=0x7"))
 }

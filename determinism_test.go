@@ -161,15 +161,3 @@ func TestParallelHistogramCrossVaultInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestSerialEnvOverride pins the IPIM_SERIAL escape hatch: with the
-// environment set, even a wide SetParallelism runs serial — and, per
-// the determinism contract, still produces identical results.
-func TestSerialEnvOverride(t *testing.T) {
-	ref, _ := detRun(t, "Brighten", 7, 4)
-	t.Setenv("IPIM_SERIAL", "1")
-	got, _ := detRun(t, "Brighten", 7, 4)
-	if !reflect.DeepEqual(ref, got) {
-		t.Errorf("IPIM_SERIAL=1 run diverges from parallel run:\nwant %+v\ngot  %+v", ref, got)
-	}
-}

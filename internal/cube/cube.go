@@ -63,10 +63,8 @@ type Machine struct {
 	remoteServiceLat int64
 
 	// parallelism caps the worker goroutines running vault phases
-	// concurrently: 0 = GOMAXPROCS, 1 = serial. Set via SetParallelism;
-	// forced to 1 when IPIM_SERIAL=1 is set in the environment.
+	// concurrently: 0 = GOMAXPROCS, 1 = serial. Set via SetParallelism.
 	parallelism int
-	forceSerial bool
 
 	// memo is the run-level timing memo (memo.go); memoOff disables it.
 	// Set via SetTimingMemo; forced off when IPIM_NO_MEMO=1 is set in
@@ -92,10 +90,7 @@ func New(cfg sim.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		Cfg:         cfg,
-		forceSerial: os.Getenv("IPIM_SERIAL") == "1",
-	}
+	m := &Machine{Cfg: cfg}
 	t := cfg.Timing
 	m.remoteServiceLat = int64(t.TRCD + t.TCL + 1 + 8)
 	mw, mh := meshDims(cfg.VaultsPerCube)
@@ -242,9 +237,6 @@ func attachFaults(vaults [][]*vault.Vault, ports [][]*port, plan *fault.Plan) {
 // phaseWorkers resolves the worker count for a phase over n active
 // vaults.
 func (m *Machine) phaseWorkers(n int) int {
-	if m.forceSerial {
-		return 1
-	}
 	w := m.parallelism
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)

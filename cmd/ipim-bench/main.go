@@ -27,8 +27,6 @@ func main() {
 		"fault-injection spec applied to every simulated machine (empty = off; the faults sweep manages its own plans)")
 	maxCycles := flag.Int64("max-cycles", 0,
 		"hard per-run simulated-cycle budget for every experiment machine (0 = unlimited)")
-	mode := flag.String("mode", "cycle",
-		"execution mode for the Table II suite machines: cycle (full timing simulation) or functional (fast correctness pass; cycle-derived columns read zero)")
 	flag.Parse()
 
 	if *expName != "all" {
@@ -36,10 +34,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ipim-bench:", err)
 			os.Exit(1)
 		}
-	}
-	if err := cliutil.Check("mode", *mode, []string{"cycle", "functional"}); err != nil {
-		fmt.Fprintln(os.Stderr, "ipim-bench:", err)
-		os.Exit(1)
 	}
 	plan, err := ipim.ParseFaultPlan(*faultSpec)
 	if err != nil {
@@ -51,9 +45,6 @@ func main() {
 	c.SizeDiv = *div
 	c.Faults = plan
 	c.MaxCycles = *maxCycles
-	if *mode == "functional" {
-		c.Mode = ipim.FunctionalMode
-	}
 
 	run := func(name string) error {
 		t0 := time.Now()

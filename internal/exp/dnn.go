@@ -64,7 +64,7 @@ func (c *Context) runDNN(wl workloads.DNNWorkload, multiArray bool) (*dnnRun, er
 		return nil, err
 	}
 	stats, err := compiler.ExecuteContext(context.Background(), m, art,
-		sim.RunOptions{Mode: c.Mode, MaxCycles: c.MaxCycles})
+		sim.RunOptions{MaxCycles: c.MaxCycles})
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %s: %w", wl.Name, err)
 	}

@@ -104,12 +104,6 @@ type Context struct {
 	// sim.ErrCycleBudget instead of hanging the suite.
 	MaxCycles int64
 
-	// Mode selects the execution mode for every simulated run
-	// (default: cycle-accurate). FunctionalMode turns the suite into a
-	// fast correctness pass: pixels are bit-identical but every
-	// cycle-derived column reads zero.
-	Mode sim.Mode
-
 	cache    map[string]*runResult
 	dnnCache map[string]*dnnRun
 }
@@ -172,7 +166,7 @@ func (c *Context) run(wl workloads.Workload, opts compiler.Options, cfg sim.Conf
 		return nil, err
 	}
 	stats, err := compiler.ExecuteContext(context.Background(), m, art,
-		sim.RunOptions{Mode: c.Mode, MaxCycles: c.MaxCycles})
+		sim.RunOptions{MaxCycles: c.MaxCycles})
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %s: %w", wl.Name, err)
 	}

@@ -43,22 +43,12 @@ go test -run='^$' -bench='^BenchmarkSimCore$' -benchtime=1x .
 go test -run='^$' -bench='^BenchmarkCompile$' -benchtime=1x .
 go test -run='^$' -bench='^BenchmarkSimCoreFunctional$' -benchtime=1x .
 
-# Functional-mode smoke: the Table II suite (fig6) under -mode
-# functional on shrunk images, through the shipped CLI. Cycle-derived
-# columns read zero by design. The funcmode_test.go differential matrix
-# (and the golden-model sweep it includes) is the real correctness
-# gate; this slot keeps the CLI surface and the functional end-to-end
-# path from rotting.
-go run ./cmd/ipim-bench -mode functional -div 8 -exp fig6 > /dev/null
-
 # DNN golden-sweep smoke: the DNN/GEMM family at tiny shapes through
-# the shipped CLI, in cycle mode and in functional mode. The
-# dnn_test.go sweep (device vs host golden vs reference, both
-# schedules, all modes) is the real correctness gate under -race
-# above; this slot keeps the -exp dnn surface and the multi-array
-# end-to-end path from rotting.
+# the shipped CLI. The dnn_test.go sweep (device vs host golden vs
+# reference, both schedules, all modes) is the real correctness gate
+# under -race above; this slot keeps the -exp dnn surface and the
+# multi-array end-to-end path from rotting.
 go run ./cmd/ipim-bench -exp dnn -div 8 > /dev/null
-go run ./cmd/ipim-bench -mode functional -div 8 -exp dnn > /dev/null
 
 # Checkpoint/resume smoke: force a mid-run budget abort with a
 # checkpoint file, then resume it to completion through the shipped

@@ -8,7 +8,11 @@
 // DataRF and AddrRF live in one register slab owned by the vault
 // (internal/vault), which also runs the PEs' SIMD unit and integer ALU,
 // so one SIMB instruction is one operation over a register of every
-// selected PE; the movers here take the vector they fill or drain. All
+// selected PE; the movers here take the vector they fill or drain.
+// Each transfer has one mover, whatever its mask and in every execution
+// mode: LoadVector and StoreVector between a bank and a vector,
+// VectorFromPGSM and VectorToPGSM between the PGSM and a vector, and
+// DMABankToPGSM and DMAPGSMToBank between a bank and the PGSM. All
 // timing lives in the vault's control core model, which consults the
 // PG's dram.Controller for bank access scheduling.
 package engine
@@ -16,6 +20,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"ipim/internal/dram"
@@ -116,36 +121,51 @@ func (pe *PE) SnapshotRead(addr uint32, n int) ([]byte, error) {
 	return out, nil
 }
 
+// vecBytes is one full vector register in bank or PGSM bytes. The
+// movers' full-mask branches copy all four lanes by hand; the assertion
+// fails to compile if the lane count ever changes.
+const vecBytes = 4 * isa.VecLanes
+
+var _ [1]struct{} = [5 - isa.VecLanes]struct{}{}
+
 // LoadVector reads vector lanes from the bank into v. Only lanes
 // selected by vmask are written; lane l's word comes from
 // addr + 4*l. Addresses need only 4-byte alignment: the timing layer
 // charges a second column access when the 128-bit window crosses a
 // column boundary.
 func (pe *PE) LoadVector(addr uint32, v *Vector, vmask uint8) error {
-	hi := highSetLane(vmask)
-	if hi < 0 {
+	vmask &= isa.VecMaskAll
+	if vmask == 0 {
 		return nil
 	}
-	// Fast path: when the whole span [addr, addr+4*hi+4) fits the bank
-	// without 32-bit address wraparound, one bounds check + growth
-	// covers every lane. Lane addresses wrap mod 2^32 by the ISA's
+	// Fast path: when the span from addr through the highest selected
+	// lane fits the bank without 32-bit address wraparound, one bounds
+	// check and growth covers every lane, and a full mask moves as one
+	// 16-byte array. Lane addresses wrap mod 2^32 by the ISA's
 	// indirect-addressing semantics (e.g. base-4 with lane 0 masked
 	// off), so a span that overflows falls back to per-lane addressing.
-	if end := uint64(addr) + uint64(4*hi) + 4; end <= uint64(pe.bankBytes) {
+	if end := uint64(addr) + 4*uint64(bits.Len8(vmask)); end <= uint64(pe.bankBytes) {
 		bank, err := pe.ensure(int(end))
 		if err != nil {
 			return err
 		}
-		for l := 0; l <= hi; l++ {
-			if vmask&(1<<uint(l)) == 0 {
-				continue
+		if vmask == isa.VecMaskAll {
+			b := (*[vecBytes]byte)(bank[addr:end])
+			v[0] = binary.LittleEndian.Uint32(b[0:4])
+			v[1] = binary.LittleEndian.Uint32(b[4:8])
+			v[2] = binary.LittleEndian.Uint32(b[8:12])
+			v[3] = binary.LittleEndian.Uint32(b[12:16])
+			return nil
+		}
+		for l := range isa.VecLanes {
+			if vmask&(1<<l) != 0 {
+				v[l] = binary.LittleEndian.Uint32(bank[addr+uint32(4*l):])
 			}
-			v[l] = binary.LittleEndian.Uint32(bank[addr+uint32(4*l):])
 		}
 		return nil
 	}
-	for l := 0; l <= hi; l++ {
-		if vmask&(1<<uint(l)) == 0 {
+	for l := range isa.VecLanes {
+		if vmask&(1<<l) == 0 {
 			continue
 		}
 		b, err := pe.ReadBank(addr+uint32(4*l), 4)
@@ -157,42 +177,38 @@ func (pe *PE) LoadVector(addr uint32, v *Vector, vmask uint8) error {
 	return nil
 }
 
-// highSetLane returns the highest lane index selected by vmask, or -1
-// for an empty mask.
-func highSetLane(vmask uint8) int {
-	for l := isa.VecLanes - 1; l >= 0; l-- {
-		if vmask&(1<<uint(l)) != 0 {
-			return l
-		}
-	}
-	return -1
-}
-
 // StoreVector writes the vmask-selected lanes of v to the bank at addr
 // (lane l to addr + 4*l).
 func (pe *PE) StoreVector(addr uint32, v *Vector, vmask uint8) error {
-	hi := highSetLane(vmask)
-	if hi < 0 {
+	vmask &= isa.VecMaskAll
+	if vmask == 0 {
 		return nil
 	}
 	// Same fast/slow split as LoadVector: batched unless the lane span
 	// wraps or exceeds the bank.
-	if end := uint64(addr) + uint64(4*hi) + 4; end <= uint64(pe.bankBytes) {
+	if end := uint64(addr) + 4*uint64(bits.Len8(vmask)); end <= uint64(pe.bankBytes) {
 		bank, err := pe.ensure(int(end))
 		if err != nil {
 			return err
 		}
-		for l := 0; l <= hi; l++ {
-			if vmask&(1<<uint(l)) == 0 {
-				continue
+		if vmask == isa.VecMaskAll {
+			b := (*[vecBytes]byte)(bank[addr:end])
+			binary.LittleEndian.PutUint32(b[0:4], v[0])
+			binary.LittleEndian.PutUint32(b[4:8], v[1])
+			binary.LittleEndian.PutUint32(b[8:12], v[2])
+			binary.LittleEndian.PutUint32(b[12:16], v[3])
+			return nil
+		}
+		for l := range isa.VecLanes {
+			if vmask&(1<<l) != 0 {
+				binary.LittleEndian.PutUint32(bank[addr+uint32(4*l):], v[l])
 			}
-			binary.LittleEndian.PutUint32(bank[addr+uint32(4*l):], v[l])
 		}
 		return nil
 	}
 	var b [4]byte
-	for l := 0; l <= hi; l++ {
-		if vmask&(1<<uint(l)) == 0 {
+	for l := range isa.VecLanes {
+		if vmask&(1<<l) == 0 {
 			continue
 		}
 		binary.LittleEndian.PutUint32(b[:], v[l])
@@ -206,10 +222,10 @@ func (pe *PE) StoreVector(addr uint32, v *Vector, vmask uint8) error {
 // PG is one process group: PEs sharing a scratchpad and an in-DRAM
 // memory controller.
 type PG struct {
-	ID   int
-	PEs  []*PE
-	PGSM []byte
-	Ctrl *dram.Controller
+	ID   int              // PG index within its vault
+	PEs  []*PE            // the PG's PEs, one bank each
+	PGSM []byte           // the shared scratchpad (PG shared memory)
+	Ctrl *dram.Controller // schedules every bank access of the PG's PEs
 }
 
 // NewPG builds a process group with its PEs and controller.
@@ -256,24 +272,31 @@ func (pg *PG) FlipPGSMBit(addr uint32, bit uint) error {
 // (lane l at addr + 4*l). PGSM is SRAM: any 4-byte-aligned address is
 // legal.
 func (pg *PG) VectorToPGSM(addr uint32, v *Vector, vmask uint8) error {
-	hi := highSetLane(vmask)
-	if hi < 0 {
+	vmask &= isa.VecMaskAll
+	if vmask == 0 {
 		return nil
 	}
 	// Batched fast path when the lane span neither wraps mod 2^32 nor
 	// leaves the scratchpad; otherwise exact per-lane addressing.
-	if end := uint64(addr) + uint64(4*hi) + 4; end <= uint64(len(pg.PGSM)) {
-		for l := 0; l <= hi; l++ {
-			if vmask&(1<<uint(l)) == 0 {
-				continue
+	if end := uint64(addr) + 4*uint64(bits.Len8(vmask)); end <= uint64(len(pg.PGSM)) {
+		if vmask == isa.VecMaskAll {
+			b := (*[vecBytes]byte)(pg.PGSM[addr:end])
+			binary.LittleEndian.PutUint32(b[0:4], v[0])
+			binary.LittleEndian.PutUint32(b[4:8], v[1])
+			binary.LittleEndian.PutUint32(b[8:12], v[2])
+			binary.LittleEndian.PutUint32(b[12:16], v[3])
+			return nil
+		}
+		for l := range isa.VecLanes {
+			if vmask&(1<<l) != 0 {
+				binary.LittleEndian.PutUint32(pg.PGSM[addr+uint32(4*l):], v[l])
 			}
-			binary.LittleEndian.PutUint32(pg.PGSM[addr+uint32(4*l):], v[l])
 		}
 		return nil
 	}
 	var b [4]byte
-	for l := 0; l <= hi; l++ {
-		if vmask&(1<<uint(l)) == 0 {
+	for l := range isa.VecLanes {
+		if vmask&(1<<l) == 0 {
 			continue
 		}
 		binary.LittleEndian.PutUint32(b[:], v[l])
@@ -286,21 +309,28 @@ func (pg *PG) VectorToPGSM(addr uint32, v *Vector, vmask uint8) error {
 
 // VectorFromPGSM reads vmask-selected lanes from the PGSM into v.
 func (pg *PG) VectorFromPGSM(addr uint32, v *Vector, vmask uint8) error {
-	hi := highSetLane(vmask)
-	if hi < 0 {
+	vmask &= isa.VecMaskAll
+	if vmask == 0 {
 		return nil
 	}
-	if end := uint64(addr) + uint64(4*hi) + 4; end <= uint64(len(pg.PGSM)) {
-		for l := 0; l <= hi; l++ {
-			if vmask&(1<<uint(l)) == 0 {
-				continue
+	if end := uint64(addr) + 4*uint64(bits.Len8(vmask)); end <= uint64(len(pg.PGSM)) {
+		if vmask == isa.VecMaskAll {
+			b := (*[vecBytes]byte)(pg.PGSM[addr:end])
+			v[0] = binary.LittleEndian.Uint32(b[0:4])
+			v[1] = binary.LittleEndian.Uint32(b[4:8])
+			v[2] = binary.LittleEndian.Uint32(b[8:12])
+			v[3] = binary.LittleEndian.Uint32(b[12:16])
+			return nil
+		}
+		for l := range isa.VecLanes {
+			if vmask&(1<<l) != 0 {
+				v[l] = binary.LittleEndian.Uint32(pg.PGSM[addr+uint32(4*l):])
 			}
-			v[l] = binary.LittleEndian.Uint32(pg.PGSM[addr+uint32(4*l):])
 		}
 		return nil
 	}
-	for l := 0; l <= hi; l++ {
-		if vmask&(1<<uint(l)) == 0 {
+	for l := range isa.VecLanes {
+		if vmask&(1<<l) == 0 {
 			continue
 		}
 		b, err := pg.ReadPGSM(addr+uint32(4*l), 4)
@@ -309,5 +339,35 @@ func (pg *PG) VectorFromPGSM(addr uint32, v *Vector, vmask uint8) error {
 		}
 		v[l] = binary.LittleEndian.Uint32(b)
 	}
+	return nil
+}
+
+// DMABankToPGSM copies the 128-bit column beat at bankAddr into the
+// PGSM at pgsmAddr: ld_pgsm's data movement. Bounds behavior and error
+// text match ReadBank followed by WritePGSM.
+func (pg *PG) DMABankToPGSM(pe *PE, bankAddr, pgsmAddr uint32) error {
+	bank, err := pe.ensure(int(bankAddr) + dram.AccessBytes)
+	if err != nil {
+		return err
+	}
+	if int(pgsmAddr)+dram.AccessBytes > len(pg.PGSM) {
+		return fmt.Errorf("engine: PGSM write at %#x+%d beyond %d bytes", pgsmAddr, dram.AccessBytes, len(pg.PGSM))
+	}
+	*(*[dram.AccessBytes]byte)(pg.PGSM[pgsmAddr:]) = *(*[dram.AccessBytes]byte)(bank[bankAddr:])
+	return nil
+}
+
+// DMAPGSMToBank copies the 128-bit beat at pgsmAddr into the bank at
+// bankAddr: st_pgsm's data movement. Bounds behavior and error text
+// match ReadPGSM followed by WriteBank.
+func (pg *PG) DMAPGSMToBank(pe *PE, pgsmAddr, bankAddr uint32) error {
+	if int(pgsmAddr)+dram.AccessBytes > len(pg.PGSM) {
+		return fmt.Errorf("engine: PGSM access at %#x+%d beyond %d bytes", pgsmAddr, dram.AccessBytes, len(pg.PGSM))
+	}
+	bank, err := pe.ensure(int(bankAddr) + dram.AccessBytes)
+	if err != nil {
+		return err
+	}
+	*(*[dram.AccessBytes]byte)(bank[bankAddr:]) = *(*[dram.AccessBytes]byte)(pg.PGSM[pgsmAddr:])
 	return nil
 }

@@ -505,3 +505,15 @@ func TestHealthzAndWorkloads(t *testing.T) {
 		t.Errorf("configs = %v", out.Configs)
 	}
 }
+
+// TestSimbEmptyVecMaskAtTopOfAddressSpace: an ld_rf whose vector mask
+// selects no lane touches no bank column, so at an address whose lane
+// span would wrap past 2^32 it completes at once under a small cycle
+// budget instead of walking the bank.
+func TestSimbEmptyVecMaskAtTopOfAddressSpace(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.Workers = 1 })
+	rec := postSimb(t, s, "max_cycles=1000", "ld_rf d0, 0xFFFFFFF8, vm=0x0, sm=0x1\n")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+}

@@ -2,7 +2,9 @@ package vault
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"ipim/internal/isa"
@@ -205,6 +207,31 @@ func TestEmptySimbMaskCompletesImmediately(t *testing.T) {
 	v.FoldDRAMStats()
 	if v.Stats.DRAM.Reads != 0 {
 		t.Fatalf("empty mask generated %d bank reads", v.Stats.DRAM.Reads)
+	}
+}
+
+// TestEmptyVecMaskTouchesNoColumn: an RF transfer whose vector mask
+// selects no lane costs the same at any address, aligned or not, and
+// issues no DRAM request and no PE bus beat, even where its lane span
+// would wrap past 2^32.
+func TestEmptyVecMaskTouchesNoColumn(t *testing.T) {
+	cfg := sim.TestTiny()
+	for _, op := range []string{"ld_rf", "st_rf"} {
+		var want sim.Stats
+		for i, addr := range []uint32{0x100, 0x104, 0x108, 0x10C, 0xFFFFFFF8, 0xFFFFFFFC} {
+			v := runSrc(t, cfg, fmt.Sprintf("%s d0, %#x, vm=0x0, sm=*", op, addr))
+			v.FoldDRAMStats()
+			s := v.Stats
+			if s.DRAM.Reads != 0 || s.DRAM.Writes != 0 || s.PEBusBeats != 0 {
+				t.Fatalf("%s at %#x: %d reads, %d writes, %d PE bus beats; want none",
+					op, addr, s.DRAM.Reads, s.DRAM.Writes, s.PEBusBeats)
+			}
+			if i == 0 {
+				want = s
+			} else if !reflect.DeepEqual(s, want) {
+				t.Fatalf("%s at %#x: stats %+v differ from those at 0x100 %+v", op, addr, s, want)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package vault
 import (
 	"fmt"
 
-	"ipim/internal/dram"
 	"ipim/internal/engine"
 	"ipim/internal/isa"
 )
@@ -78,7 +77,6 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 
 	case isa.OpRdPGSM, isa.OpWrPGSM:
 		rd := in.Op == isa.OpRdPGSM
-		full := in.VecMask == isa.VecMaskAll
 		d, ar := v.dreg(in.Dst), v.addrRegs(in.Addr, in.Indirect)
 		for i := 0; i < nPE; i++ {
 			if mask&(1<<uint(i)) == 0 {
@@ -86,14 +84,9 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 			}
 			pg, r, addr := v.peList[i].pg, vec(d, i), effAddr(in.Addr, ar, i)
 			var err error
-			switch {
-			case rd && full:
-				err = pg.VectorFromPGSMFull(addr, r)
-			case rd:
+			if rd {
 				err = pg.VectorFromPGSM(addr, r, in.VecMask)
-			case full:
-				err = pg.VectorToPGSMFull(addr, r)
-			default:
+			} else {
 				err = pg.VectorToPGSM(addr, r, in.VecMask)
 			}
 			if err != nil {
@@ -198,115 +191,65 @@ func (v *Vault) execFunc(in *isa.Instruction) error {
 }
 
 // execFuncBank applies a bank instruction's data transfer for the masked
-// PEs, plus one fault roll per PE per 128-bit column read, in
-// PE-then-column order (faultN advances identically in every mode, so a
-// fault plan corrupts the same bits). No DRAM request is enqueued here;
-// issueBank schedules those afterwards.
+// PEs. It chooses the opcode once, and its PE loop calls that opcode's
+// one mover, the same in every mode and under a fault plan. Under a
+// bit-flipping plan a load rolls its faults right after each PE's move,
+// one per 128-bit column of that PE's span (injectReadFaults), so faultN
+// advances in PE-then-column order in every mode and a plan corrupts the
+// same bits. No DRAM request is enqueued here; issueBank schedules those
+// afterwards.
 func (v *Vault) execFuncBank(in *isa.Instruction) error {
 	mask, nPE := in.SimbMask, len(v.peList)
-	// The registers, lane-span offsets and fault-plan test depend only
-	// on the instruction, not the PE: hoist them out of the loop.
 	ar := v.addrRegs(in.Addr, in.Indirect)
-	var d, ar2 []uint32
-	if in.Op == isa.OpLdRF || in.Op == isa.OpStRF {
-		d = v.dreg(in.Dst)
-	} else {
-		ar2 = v.addrRegs(in.Addr2, in.Indirect2)
-	}
-	lo4 := uint32(4 * lowLane(in.VecMask))
-	hi4 := uint32(4*highLane(in.VecMask)) + 4
-	faulty := v.fp != nil && v.fp.DRAMBitFlipRate > 0 && !in.Op.IsBankStore()
-	if !faulty {
-		// Fault-free runs dispatch the op once and use the full-mask
-		// movers where the vector mask allows; the loop below serves
-		// partial vector masks and fault plans, whose per-column rolls
-		// must land in PE-then-column order.
-		switch {
-		case in.Op == isa.OpLdRF && in.VecMask == isa.VecMaskAll:
-			for i := 0; i < nPE; i++ {
-				if mask&(1<<uint(i)) == 0 {
-					continue
-				}
-				if err := v.peList[i].pe.LoadVectorFull(effAddr(in.Addr, ar, i), vec(d, i)); err != nil {
-					return err
-				}
+	faulty := v.fp != nil && v.fp.DRAMBitFlipRate > 0
+	switch in.Op {
+	case isa.OpLdRF:
+		d := v.dreg(in.Dst)
+		for i := 0; i < nPE; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
 			}
-			return nil
-		case in.Op == isa.OpStRF && in.VecMask == isa.VecMaskAll:
-			for i := 0; i < nPE; i++ {
-				if mask&(1<<uint(i)) == 0 {
-					continue
-				}
-				if err := v.peList[i].pe.StoreVectorFull(effAddr(in.Addr, ar, i), vec(d, i)); err != nil {
-					return err
-				}
+			addr, r := effAddr(in.Addr, ar, i), vec(d, i)
+			if err := v.peList[i].pe.LoadVector(addr, r, in.VecMask); err != nil {
+				return err
 			}
-			return nil
-		case in.Op == isa.OpLdPGSM:
-			for i := 0; i < nPE; i++ {
-				if mask&(1<<uint(i)) == 0 {
-					continue
-				}
-				pg, pe := v.peList[i].pg, v.peList[i].pe
-				err := pg.DMABankToPGSM(pe, effAddr(in.Addr, ar, i), effAddr(in.Addr2, ar2, i), dram.AccessBytes)
-				if err != nil {
-					return err
-				}
+			if faulty {
+				v.injectReadFaults(in, i, addr, r, 0)
 			}
-			return nil
-		case in.Op == isa.OpStPGSM:
-			for i := 0; i < nPE; i++ {
-				if mask&(1<<uint(i)) == 0 {
-					continue
-				}
-				pg, pe := v.peList[i].pg, v.peList[i].pe
-				err := pg.DMAPGSMToBank(pe, effAddr(in.Addr2, ar2, i), effAddr(in.Addr, ar, i), dram.AccessBytes)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
 		}
-	}
-	for i := 0; i < nPE; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		pg, pe := v.peList[i].pg, v.peList[i].pe
-		bankAddr := effAddr(in.Addr, ar, i)
-		spanLo := bankAddr + lo4
-		spanHi := bankAddr + hi4
-		var err error
-		var dst *engine.Vector
-		var pgsmAddr uint32
-		switch in.Op {
-		case isa.OpLdRF:
-			dst = vec(d, i)
-			err = pe.LoadVector(bankAddr, dst, in.VecMask)
-		case isa.OpStRF:
-			err = pe.StoreVector(bankAddr, vec(d, i), in.VecMask)
-		case isa.OpLdPGSM:
-			pgsmAddr = effAddr(in.Addr2, ar2, i)
-			var b []byte
-			if b, err = pe.ReadBank(bankAddr, dram.AccessBytes); err == nil {
-				err = pg.WritePGSM(pgsmAddr, b)
+	case isa.OpStRF:
+		d := v.dreg(in.Dst)
+		for i := 0; i < nPE; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
 			}
-			spanLo, spanHi = bankAddr, bankAddr+dram.AccessBytes
-		case isa.OpStPGSM:
-			pgsmAddr = effAddr(in.Addr2, ar2, i)
-			var b []byte
-			if b, err = pg.ReadPGSM(pgsmAddr, dram.AccessBytes); err == nil {
-				err = pe.WriteBank(bankAddr, b)
+			if err := v.peList[i].pe.StoreVector(effAddr(in.Addr, ar, i), vec(d, i), in.VecMask); err != nil {
+				return err
 			}
-			spanLo, spanHi = bankAddr, bankAddr+dram.AccessBytes
 		}
-		if err != nil {
-			return err
+	case isa.OpLdPGSM:
+		ar2 := v.addrRegs(in.Addr2, in.Indirect2)
+		for i := 0; i < nPE; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			s, bankAddr, pgsmAddr := v.peList[i], effAddr(in.Addr, ar, i), effAddr(in.Addr2, ar2, i)
+			if err := s.pg.DMABankToPGSM(s.pe, bankAddr, pgsmAddr); err != nil {
+				return err
+			}
+			if faulty {
+				v.injectReadFaults(in, i, bankAddr, nil, pgsmAddr)
+			}
 		}
-		if faulty {
-			bank := i % v.Cfg.PEsPerPG
-			for col := spanLo &^ (dram.AccessBytes - 1); col < spanHi; col += dram.AccessBytes {
-				v.injectReadFault(in, pg, dst, bank, bankAddr, col, pgsmAddr)
+	case isa.OpStPGSM:
+		ar2 := v.addrRegs(in.Addr2, in.Indirect2)
+		for i := 0; i < nPE; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			s := v.peList[i]
+			if err := s.pg.DMAPGSMToBank(s.pe, effAddr(in.Addr2, ar2, i), effAddr(in.Addr, ar, i)); err != nil {
+				return err
 			}
 		}
 	}

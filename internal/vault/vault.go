@@ -844,14 +844,11 @@ func (v *Vault) issue(in *isa.Instruction) error {
 
 // issueBank schedules a bank-accessing instruction whose data effect
 // execFunc has already applied: one DRAM request per masked PE per
-// 128-bit column its span touches, with back-pressure on the PG request
-// queues. n is the number of masked PEs.
+// 128-bit column its span (bankSpan) touches, with back-pressure on the
+// PG request queues. n is the number of masked PEs.
 func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *entry {
 	e := v.newEntry()
 	e.extra, e.usesTSV, e.completes = int64(v.Cfg.TPEBus), v.Cfg.PonB, v.now+1
-	// Byte span touched, relative to the bank address: the vector mask's
-	// lanes for RF transfers, one full column beat for PGSM DMA.
-	lo, hi := uint32(4*lowLane(in.VecMask)), uint32(4*highLane(in.VecMask))+4
 	switch in.Op {
 	case isa.OpLdRF, isa.OpStRF:
 		e.extra += int64(v.Cfg.TDataRF)
@@ -859,7 +856,6 @@ func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *e
 	default:
 		e.extra += int64(v.Cfg.TPGSM)
 		v.Stats.PGSMAcc += n
-		lo, hi = 0, dram.AccessBytes
 	}
 	write := in.Op.IsBankStore()
 	ar := v.addrRegs(in.Addr, in.Indirect)
@@ -868,14 +864,13 @@ func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *e
 			continue
 		}
 		pg := v.peList[i].pg
-		bankAddr := effAddr(in.Addr, ar, i)
-		spanLo, spanHi := bankAddr+lo, bankAddr+hi
+		lo, hi := bankSpan(in, effAddr(in.Addr, ar, i))
 		// Requests that completed by now free their queue slots before
 		// back-pressure is assessed.
 		pg.Ctrl.AdvanceTo(v.now)
 		// One column request per 128-bit column the span touches: an
 		// unaligned vector access costs two column accesses.
-		for col := spanLo &^ (dram.AccessBytes - 1); col < spanHi; col += dram.AccessBytes {
+		for col := lo &^ (dram.AccessBytes - 1); col < hi; col += dram.AccessBytes {
 			req := v.newReq(i%v.Cfg.PEsPerPG, col, write)
 			// DRAM request queue back-pressure stalls the pipeline
 			// (paper Sec. V-C, memory order enforcement rationale).
@@ -899,42 +894,63 @@ func (v *Vault) issueBank(in *isa.Instruction, mask uint64, nPE int, n int64) *e
 	return e
 }
 
-// injectReadFault rolls the fault plan for one 128-bit column read and
-// applies the SECDED outcome: a single-bit event is corrected (counter
-// only, data intact); a multi-bit event is detected-uncorrectable and
-// corrupts the read *destination* — the lane of dst (an ld_rf's
-// destination vector in the register slab) or the PGSM byte that
-// consumed the flipped bit. The bank backing store is never mutated:
-// other vaults may be snapshot-reading it concurrently, and in-place
-// corruption would make results depend on the phase schedule.
-func (v *Vault) injectReadFault(in *isa.Instruction, pg *engine.PG, dst *engine.Vector, bank int, bankAddr, col, pgsmAddr uint32) {
-	n := v.faultN
-	v.faultN++
-	bf := v.fp.BankRead(v.bankSites[pg.ID][bank], n)
-	if !bf.Injected {
-		return
+// bankSpan returns the bank bytes [lo, hi) a bank instruction touches on
+// a PE whose bank address is addr: the lanes its vector mask selects for
+// ld_rf and st_rf, one 128-bit column beat for ld_pgsm and st_pgsm. An RF
+// transfer whose mask selects no lane touches nothing at any address:
+// its span is [0, 0), which holds no column.
+func bankSpan(in *isa.Instruction, addr uint32) (lo, hi uint32) {
+	if in.Op != isa.OpLdRF && in.Op != isa.OpStRF {
+		return addr, addr + dram.AccessBytes
 	}
-	pg.Ctrl.NoteECC(bank, bf.Corrected)
-	if bf.Corrected {
-		return
+	vm := in.VecMask & isa.VecMaskAll
+	if vm == 0 {
+		return 0, 0
 	}
-	for _, bit := range bf.Bits {
-		// Byte offset of the flipped bit relative to the access origin.
-		off := int64(col) + int64(bit/8) - int64(bankAddr)
-		if off < 0 || off >= dram.AccessBytes {
-			continue // column byte outside the consumed span
+	return addr + 4*uint32(bits.TrailingZeros8(vm)), addr + 4*uint32(bits.Len8(vm))
+}
+
+// injectReadFaults rolls the fault plan once per 128-bit column of PE
+// i's load span at bankAddr (bankSpan) and applies each SECDED outcome:
+// a single-bit event is corrected (counter only, data intact); a
+// multi-bit event is detected-uncorrectable and corrupts the read
+// *destination* — the lane of dst (an ld_rf's destination vector in the
+// register slab) or the PGSM byte at pgsmAddr that consumed the flipped
+// bit. The bank backing store is never mutated: other vaults may be
+// snapshot-reading it concurrently, and in-place corruption would make
+// results depend on the phase schedule.
+func (v *Vault) injectReadFaults(in *isa.Instruction, i int, bankAddr uint32, dst *engine.Vector, pgsmAddr uint32) {
+	pg, bank := v.peList[i].pg, i%v.Cfg.PEsPerPG
+	lo, hi := bankSpan(in, bankAddr)
+	for col := lo &^ (dram.AccessBytes - 1); col < hi; col += dram.AccessBytes {
+		n := v.faultN
+		v.faultN++
+		bf := v.fp.BankRead(v.bankSites[pg.ID][bank], n)
+		if !bf.Injected {
+			continue
 		}
-		switch in.Op {
-		case isa.OpLdRF:
-			lane := int(off / 4)
-			if in.VecMask&(1<<uint(lane)) == 0 {
-				continue // unselected lane: the bits never reach the RF
+		pg.Ctrl.NoteECC(bank, bf.Corrected)
+		if bf.Corrected {
+			continue
+		}
+		for _, bit := range bf.Bits {
+			// Byte offset of the flipped bit relative to the access origin.
+			off := int64(col) + int64(bit/8) - int64(bankAddr)
+			if off < 0 || off >= dram.AccessBytes {
+				continue // column byte outside the consumed span
 			}
-			dst[lane] ^= 1 << (uint(off%4)*8 + uint(bit%8))
-		case isa.OpLdPGSM:
-			// WritePGSM validated [pgsmAddr, pgsmAddr+16) above, so the
-			// flip cannot go out of bounds.
-			_ = pg.FlipPGSMBit(pgsmAddr+uint32(off), uint(bit%8))
+			switch in.Op {
+			case isa.OpLdRF:
+				lane := int(off / 4)
+				if in.VecMask&(1<<uint(lane)) == 0 {
+					continue // unselected lane: the bits never reach the RF
+				}
+				dst[lane] ^= 1 << (uint(off%4)*8 + uint(bit%8))
+			case isa.OpLdPGSM:
+				// DMABankToPGSM validated [pgsmAddr, pgsmAddr+16) above,
+				// so the flip cannot go out of bounds.
+				_ = pg.FlipPGSMBit(pgsmAddr+uint32(off), uint(bit%8))
+			}
 		}
 	}
 }
@@ -970,21 +986,4 @@ func copyVectorToVSM(v *engine.Vector, vsm []byte, addr uint32, vmask uint8) {
 
 // highLane returns the highest lane index selected by a vector mask
 // (0 when the mask is empty).
-func highLane(vmask uint8) int {
-	for l := isa.VecLanes - 1; l > 0; l-- {
-		if vmask&(1<<uint(l)) != 0 {
-			return l
-		}
-	}
-	return 0
-}
-
-// lowLane returns the lowest selected lane index (0 when empty).
-func lowLane(vmask uint8) int {
-	for l := 0; l < isa.VecLanes-1; l++ {
-		if vmask&(1<<uint(l)) != 0 {
-			return l
-		}
-	}
-	return isa.VecLanes - 1
-}
+func highLane(vmask uint8) int { return max(bits.Len8(vmask&isa.VecMaskAll)-1, 0) }

@@ -83,16 +83,6 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members lists the ring's members, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the member count.
 func (r *Ring) Len() int { return len(r.members) }
 

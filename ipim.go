@@ -411,14 +411,6 @@ func ReadPPM(r io.Reader) (rp, gp, bp *Image, err error) { return pixel.ReadPPM(
 // WritePPM writes three planes as one binary PPM RGB image.
 func WritePPM(w io.Writer, rp, gp, bp *Image) error { return pixel.WritePPM(w, rp, gp, bp) }
 
-// SaveArtifact serializes a compiled kernel in the shippable
-// host-offload format (run-only; no recompilation).
-func SaveArtifact(w io.Writer, art *Artifact) error { return compiler.SaveArtifact(w, art) }
-
-// LoadArtifact reads an artifact previously written by SaveArtifact,
-// validating it against the hostile-input checks in internal/compiler.
-func LoadArtifact(r io.Reader) (*Artifact, error) { return compiler.LoadArtifact(r) }
-
 // Assemble parses SIMB assembly text.
 func Assemble(src string) (*Program, error) { return isa.Assemble(src) }
 

@@ -28,7 +28,7 @@ import (
 
 // defaultDirs are the packages the godoc pass covers (relative to the
 // repo root; see docs/ARCHITECTURE.md).
-var defaultDirs = []string{".", "internal/sim", "internal/cube", "internal/vault", "internal/noc", "internal/dram"}
+var defaultDirs = []string{".", "internal/sim", "internal/cube", "internal/vault", "internal/engine", "internal/noc", "internal/dram"}
 
 // allow exempts "pkgdir:Identifier" pairs. Each entry needs a reason.
 var allow = map[string]string{

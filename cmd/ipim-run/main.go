@@ -19,10 +19,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"ipim"
+	"ipim/internal/ckpt"
 	"ipim/internal/cliutil"
 	"ipim/internal/isa"
 	"ipim/internal/pixel"
@@ -142,7 +142,7 @@ func main() {
 	runOpts := ipim.RunOptions{MaxCycles: *maxCycles}
 	if *ckptFile != "" {
 		runOpts.CheckpointEvery = every
-		runOpts.CheckpointSink = func(data []byte) error { return writeCheckpoint(*ckptFile, data) }
+		runOpts.CheckpointSink = func(data []byte) error { return ckpt.WriteFile(*ckptFile, data) }
 	}
 	// fail reports a fatal run error; an interrupt (^C) under
 	// checkpointing points at the resume command instead of just dying.
@@ -241,7 +241,7 @@ func main() {
 	}
 	fmt.Printf("DRAM: %d reads, %d writes, %d activates, %.1f%% row hits\n",
 		stats.DRAM.Reads, stats.DRAM.Writes, stats.DRAM.Activates,
-		100*float64(stats.DRAM.RowHits)/float64(max64(1, stats.DRAM.RowHits+stats.DRAM.RowMisses)))
+		100*float64(stats.DRAM.RowHits)/float64(max(1, stats.DRAM.RowHits+stats.DRAM.RowMisses)))
 	b := ipim.EnergyOf(&stats, cfg.TotalPEs(), cfg.TotalVaults())
 	fmt.Printf("energy: %.4g mJ (PIM dies %.1f%%)\n", b.Total()*1e3, b.PIMDieFraction()*100)
 
@@ -253,30 +253,4 @@ func main() {
 	machineTime := float64(stats.Cycles) * 1e-9 / float64(full.TotalVaults())
 	fmt.Printf("full-machine speedup over the V100 baseline: %.2fx; energy saving %.1f%%\n",
 		g.TimeSec/machineTime, (1-b.Total()/g.EnergyJ)*100)
-}
-
-// writeCheckpoint atomically replaces path with one sealed checkpoint:
-// temp file in the same directory, then rename, so ^C (or a crash)
-// mid-write leaves the previous checkpoint intact, never a torn file.
-func writeCheckpoint(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

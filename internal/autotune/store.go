@@ -213,6 +213,12 @@ func (s *Store) Len() int {
 func (s *Store) Snapshot() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.sorted()
+}
+
+// sorted returns every live record ordered by (Pipeline, Config, W, H).
+// The caller holds mu.
+func (s *Store) sorted() []Record {
 	out := make([]Record, 0, len(s.index))
 	for _, rec := range s.index {
 		out = append(out, rec)
@@ -250,24 +256,7 @@ func (s *Store) Compact() error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	// Deterministic order keeps compacted journals diffable.
-	recs := make([]Record, 0, len(s.index))
-	for _, rec := range s.index {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i].Key, recs[j].Key
-		if a.Pipeline != b.Pipeline {
-			return a.Pipeline < b.Pipeline
-		}
-		if a.Config != b.Config {
-			return a.Config < b.Config
-		}
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		return a.H < b.H
-	})
-	for _, rec := range recs {
+	for _, rec := range s.sorted() {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			tmp.Close()

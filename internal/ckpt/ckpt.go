@@ -33,6 +33,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 )
 
 // Version is the current checkpoint format version. Bump it on any
@@ -136,6 +138,30 @@ func Read(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("ckpt: reading container: %v: %w", err, ErrTruncated)
 	}
 	return Open(data)
+}
+
+// WriteFile atomically replaces path with one sealed checkpoint: it
+// writes a temp file in the same directory, syncs it and renames it
+// over path, so a crash or power loss at any point leaves the previous
+// file or the new one, never a torn one.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // Enc is an append-only little-endian encoder building a payload.

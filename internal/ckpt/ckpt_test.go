@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -248,5 +250,36 @@ func TestReadRejections(t *testing.T) {
 	binary.LittleEndian.PutUint64(huge[len(magic)+4:], maxPayload+1)
 	if _, err := Read(bytes.NewReader(huge)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Read(oversize) = %v, want ErrCorrupt", err)
+	}
+}
+
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	for _, payload := range [][]byte{[]byte("first"), []byte("second, longer")} {
+		if err := WriteFile(path, Seal(payload)); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Open(data); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Open after WriteFile = %q, %v; want %q", got, err, payload)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only run.ckpt (no temp file left behind)", names)
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "run.ckpt"), Seal(nil)); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
 	}
 }

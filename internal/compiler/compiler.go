@@ -16,14 +16,14 @@ type simStats = sim.Stats
 // for every vault — SPMD over the tile distribution) plus the plan the
 // host loader uses to place data.
 type Artifact struct {
-	Plan *Plan
-	Prog *isa.Program
+	Plan *Plan        // the data layout the host loader uses
+	Prog *isa.Program // the program every vault runs
 	// LeaderProg, when non-nil, replaces Prog on vault (0,0): the
 	// leader variant carries the cross-vault reduction phase of
 	// multi-vault histogram pipelines (req-based, paper Sec. IV-D).
 	LeaderProg *isa.Program
-	Opts       Options
-	Spills     int
+	Opts       Options // the backend options compiled with
+	Spills     int     // Prog's register-allocation spill count
 }
 
 // Compile maps a pipeline onto the machine configuration for a given

@@ -82,8 +82,8 @@ func (o Options) Name() string {
 // tile the PE owns occupies one fixed-size slot holding the buffer's
 // halo-extended tile region.
 type BufPlan struct {
-	Name     string
-	Producer *halide.Func `json:"-"` // nil = pipeline input
+	Name     string       // the producing stage's name, or "input"
+	Producer *halide.Func // nil = pipeline input
 	// SigmaX/SigmaY are the buffer's per-dimension domain scales
 	// relative to the pipeline output domain (pyramid levels have
 	// scales < 1; separable resampling stages scale one dimension at a
@@ -103,7 +103,7 @@ type BufPlan struct {
 	// DESIGN.md §2). CoreW/CoreH is the per-tile computed core; StripH
 	// is the published horizontal strip depth (0 = no horizontal halo).
 	CoreW, CoreH int
-	StripH       int
+	StripH       int // strip depth; see above
 
 	// ViaPGSM enables the PG-level fast path: strips are additionally
 	// published into each PE's PGSM partition (at StripPGSMBase,
@@ -111,7 +111,7 @@ type BufPlan struct {
 	// share a process group exchange halos through the scratchpad
 	// instead of the TSV-serialized VSM (paper Fig. 3 data sharing).
 	ViaPGSM       bool
-	StripPGSMBase uint32
+	StripPGSMBase uint32 // partition offset of the published strips
 }
 
 // StripBytes is the per-tile published strip footprint in the VSM.
@@ -136,25 +136,25 @@ func (b *BufPlan) Addr(lx, ly int) (uint32, error) {
 
 // UsePlan describes one stage's consumption of one buffer.
 type UsePlan struct {
-	Buf *BufPlan
+	Buf *BufPlan // the buffer read
 	// X, Y is the region (producer-local) the stage reads per tile.
 	X, Y halide.Interval
 	// PGSM staging: when Staged, rows Y of the buffer (full padded
 	// width) are copied into the PE's PGSM partition at PGSMOff before
 	// the tile's compute.
 	Staged  bool
-	PGSMOff uint32
+	PGSMOff uint32 // PGSM partition offset of the staged rows
 }
 
 // StagePlan is one compute_root kernel.
 type StagePlan struct {
-	F   *halide.Func
-	Out *BufPlan
+	F   *halide.Func // the stage's function
+	Out *BufPlan     // the buffer the stage writes
 	// CoreX/CoreY is the per-tile compute region: the full stored
 	// region under overlapped tiling, the bare core under halo
 	// exchange.
 	CoreX, CoreY halide.Interval
-	Uses         []UsePlan
+	Uses         []UsePlan // one per buffer the stage reads
 	// Publish marks exchange-mode stages whose output halo is
 	// exchanged (publish strips + fill) after the tile loop.
 	Publish bool
@@ -193,22 +193,22 @@ type ArrayPlan struct {
 
 // Plan is the complete mapping of a pipeline onto the machine.
 type Plan struct {
-	Cfg  *sim.Config
-	Pipe *halide.Pipeline
+	Cfg  *sim.Config      // the machine compiled for
+	Pipe *halide.Pipeline // the pipeline compiled
 
 	ImgW, ImgH int // input dimensions
 	OutW, OutH int // output dimensions
 
-	TilesX, TilesY int
-	TilesPerPE     int
+	TilesX, TilesY int // output tile grid
+	TilesPerPE     int // tiles each participating PE owns
 	NumPEs         int // machine-wide PEs participating
 
-	Stages []*StagePlan `json:"-"`
-	Input  *BufPlan
+	Stages []*StagePlan // materialized stages, producer first
+	Input  *BufPlan     // the pipeline input's layout
 	// OutBuf is the final stage's buffer (what ReadOutput gathers);
 	// nil for histogram pipelines.
 	OutBuf *BufPlan
-	ByFunc map[*halide.Func]*BufPlan `json:"-"`
+	ByFunc map[*halide.Func]*BufPlan // every stage's buffer by function
 
 	// Exchange marks halo-exchange mode (ClampedStages pipelines on a
 	// single-vault machine); see planExchange.
@@ -326,8 +326,7 @@ func (p *Plan) planOverlapped(stages []*halide.Func, isMat func(*halide.Func) bo
 			return err
 		}
 		for _, u := range uses {
-			sigmaX := reduceScale(halide.Scale{Num: sb.SigmaX.Num * u.SX.Num, Den: sb.SigmaX.Den * u.SX.Den})
-			sigmaY := reduceScale(halide.Scale{Num: sb.SigmaY.Num * u.SY.Num, Den: sb.SigmaY.Den * u.SY.Den})
+			sigmaX, sigmaY := sb.SigmaX.Times(u.SX), sb.SigmaY.Times(u.SY)
 			// Power-of-two alignment requirement (DESIGN.md): tile
 			// origins scaled into the producer domain stay integral.
 			if (tw*sigmaX.Num)%sigmaX.Den != 0 || (th*sigmaY.Num)%sigmaY.Den != 0 {
@@ -440,8 +439,7 @@ func (p *Plan) planExchange(stages []*halide.Func, isMat func(*halide.Func) bool
 			return err
 		}
 		for _, u := range uses {
-			sigmaX := reduceScale(halide.Scale{Num: sb.SigmaX.Num * u.SX.Num, Den: sb.SigmaX.Den * u.SX.Den})
-			sigmaY := reduceScale(halide.Scale{Num: sb.SigmaY.Num * u.SY.Num, Den: sb.SigmaY.Den * u.SY.Den})
+			sigmaX, sigmaY := sb.SigmaX.Times(u.SX), sb.SigmaY.Times(u.SY)
 			if err := p.accumulateUse(u, sigmaX, sigmaY); err != nil {
 				return err
 			}
@@ -640,24 +638,6 @@ func (p *Plan) checkTabs(e halide.Expr, stage string, isMat func(*halide.Func) b
 		return nil
 	}
 	return fmt.Errorf("compiler: unknown expr node %T in stage %q", e, stage)
-}
-
-func reduceScale(s halide.Scale) halide.Scale {
-	g := gcd(s.Num, s.Den)
-	return halide.Scale{Num: s.Num / g, Den: s.Den / g}
-}
-
-func gcd(a, b int) int {
-	if a < 0 {
-		a = -a
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
 }
 
 func align16(n int) int { return (n + 15) &^ 15 }

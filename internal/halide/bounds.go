@@ -24,8 +24,11 @@ func (i Interval) Union(o Interval) Interval {
 type Scale struct{ Num, Den int }
 
 // Mul composes a Coord's scale onto s and reduces the fraction.
-func (s Scale) Mul(c Coord) Scale {
-	n, d := s.Num*c.Scale, s.Den*c.Div
+func (s Scale) Mul(c Coord) Scale { return s.Times(Scale{c.Scale, c.Div}) }
+
+// Times returns the product s·t as a reduced fraction.
+func (s Scale) Times(t Scale) Scale {
+	n, d := s.Num*t.Num, s.Den*t.Den
 	g := gcd(n, d)
 	return Scale{n / g, d / g}
 }

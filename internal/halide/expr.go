@@ -341,8 +341,7 @@ func (p *Pipeline) StageScales() (map[*Func][2]Scale, error) {
 			if u.Buf == nil {
 				continue
 			}
-			sx := reduce(Scale{own[0].Num * u.SX.Num, own[0].Den * u.SX.Den})
-			sy := reduce(Scale{own[1].Num * u.SY.Num, own[1].Den * u.SY.Den})
+			sx, sy := own[0].Times(u.SX), own[1].Times(u.SY)
 			if prev, ok := scales[u.Buf]; ok {
 				if prev != [2]Scale{sx, sy} {
 					return nil, fmt.Errorf("halide: stage %q read at mixed scales", u.Buf.Name)
@@ -353,11 +352,6 @@ func (p *Pipeline) StageScales() (map[*Func][2]Scale, error) {
 		}
 	}
 	return scales, nil
-}
-
-func reduce(s Scale) Scale {
-	g := gcd(s.Num, s.Den)
-	return Scale{s.Num / g, s.Den / g}
 }
 
 // IPIMTile overrides the tile size.

@@ -7,10 +7,9 @@ import (
 
 // Binary program format. Instructions encode to fixed-size 56-byte
 // records (little endian); a program is a small header followed by the
-// label table and the instruction records. The format exists so compiled
-// kernels can be shipped to the accelerator's VSM ("VSM acts as the
-// instruction memory that accepts computation offloading from a host",
-// paper Sec. IV-E) and reloaded byte-identically.
+// label table and the instruction records. Machine checkpoints store
+// their program table in this format, and ipim-asm writes (-a) and
+// reads (-d) it; a program reloads byte-identically.
 
 const (
 	// InstructionSize is the encoded size of one instruction in bytes.

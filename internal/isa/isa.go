@@ -59,9 +59,6 @@ const (
 	opEnd // sentinel, keep last
 )
 
-// NumOpcodes is the count of valid opcodes (excluding OpInvalid).
-const NumOpcodes = int(opEnd) - 1
-
 var opNames = [...]string{
 	OpInvalid: "invalid",
 	OpComp:    "comp",

@@ -6,11 +6,11 @@ package serve
 // panic, watchdog kill, process death — finds the interrupted run's
 // last barrier state and resumes it instead of starting over, and one
 // re-submitted under a swapped artifact runs fresh and drops the entry
-// it can no longer resume). Writes go through a temp file in the same
-// directory plus an atomic rename, mirroring the autotune results
-// store: a crash mid-write leaves either the previous checkpoint or the
-// new one, never a torn file — and a torn file from a crash mid-rename
-// window is rejected by the checkpoint CRC and discarded.
+// it can no longer resume). Writes go through ckpt.WriteFile (temp file
+// in the same directory, sync, atomic rename), as ipim-run's
+// -checkpoint file does: a crash mid-write leaves either the previous
+// checkpoint or the new one, never a torn file — and a file damaged
+// some other way is rejected by the checkpoint CRC and discarded.
 //
 // Lifecycle: the run's CheckpointSink overwrites the job's journal
 // entry at every covered barrier; the entry is removed only when the
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"ipim/internal/autotune"
+	"ipim/internal/ckpt"
 )
 
 // ckptExt is the journal entry suffix; pending() counts these.
@@ -55,28 +56,11 @@ func (j *ckptJournal) path(id string) string {
 	return filepath.Join(j.dir, id+ckptExt)
 }
 
-// write atomically replaces the job's journal entry: temp file in the
-// same directory, fsync, rename.
+// write atomically replaces the job's journal entry (ckpt.WriteFile).
 func (j *ckptJournal) write(id string, data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	tmp, err := os.CreateTemp(j.dir, id+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: checkpoint journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: checkpoint journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: checkpoint journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path(id)); err != nil {
+	if err := ckpt.WriteFile(j.path(id), data); err != nil {
 		return fmt.Errorf("serve: checkpoint journal: %w", err)
 	}
 	return nil

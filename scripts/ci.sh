@@ -24,7 +24,7 @@ go build ./...
 # Documentation gates. doccheck requires a doc comment on every
 # exported identifier of the documented core packages (root ipim,
 # internal/sim, internal/cube, internal/vault, internal/engine,
-# internal/noc, internal/dram); linkcheck
+# internal/noc, internal/dram, internal/compiler); linkcheck
 # verifies the relative links in README/DESIGN/EXPERIMENTS/ROADMAP and
 # docs/*.md resolve. Both live in scripts/ and compile under `go build ./...`.
 go run ./scripts/doccheck
